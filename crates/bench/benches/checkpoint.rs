@@ -51,7 +51,8 @@ fn bench_dump_cycle(c: &mut Criterion) {
                     let d1 = criu.dump(1, &mut mem, 0, &mut dev, SimTime::ZERO).unwrap();
                     mem.touch_fraction(0.10);
                     let d2 = criu.dump(1, &mut mem, 0, &mut dev, d1.op.end).unwrap();
-                    let r = criu.restore(1, &mut dev, d2.op.end).unwrap();
+                    let service = dev.spec().read_time(criu.image_size(1));
+                    let r = criu.restore(1, &mut dev, d2.op.end, service).unwrap();
                     black_box((d1.size, d2.size, r.size))
                 },
                 BatchSize::SmallInput,

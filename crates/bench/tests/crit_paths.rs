@@ -287,3 +287,42 @@ fn what_if_dump0_matches_rerun_yarn() {
     let rerun = collect_yarn(free, workload);
     check_dump0_prediction(&baseline, &rerun, "yarn");
 }
+
+/// The fig8 instrumented setup (`repro fig8 --scale <scale>`) under the
+/// adaptive policy on HDD.
+fn yarn_fig8(scale: Scale, seed: u64, plan: &str) -> (YarnConfig, Workload) {
+    let nodes = scale.apply(8, 2);
+    let workload = FacebookConfig {
+        jobs: scale.apply(40, 10),
+        total_tasks: scale.apply(7_000, 260),
+        giant_job_tasks: ((nodes * 24) as f64 * 1.3) as usize,
+        ..Default::default()
+    }
+    .generate(seed);
+    let mut cfg = YarnConfig::paper_cluster(PreemptionPolicy::Adaptive, MediaKind::Hdd)
+        .with_faults(FaultSpec::parse(plan).expect("valid plan"));
+    cfg.nodes = nodes;
+    (cfg, workload)
+}
+
+/// Regression: when restore validation finds no valid chain prefix, YARN
+/// restarts the task from scratch on the container it holds. That restart
+/// must be traced as a fresh `task_schedule`; without it the strict
+/// collector saw a `task_finish` for a task that was not running and
+/// panicked. Every run below reaches that path.
+#[test]
+fn yarn_in_place_scratch_restarts_collect_and_tile() {
+    let mut runs: Vec<(Scale, u64, String)> = (1..=11)
+        .chain([42])
+        .map(|s| (Scale::FULL, s, format!("chaos,seed={s}")))
+        .collect();
+    runs.push((Scale::SMOKE, 42, "chaos,seed=7,corrupt=0.3".into()));
+    for (scale, seed, plan) in runs {
+        let (cfg, workload) = yarn_fig8(scale, seed, &plan);
+        let collector = collect_yarn(cfg, workload);
+        check_paths(
+            &collector,
+            &format!("fig8 x{} seed {seed} {plan}", scale.factor),
+        );
+    }
+}

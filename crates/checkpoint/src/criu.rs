@@ -205,6 +205,11 @@ impl Criu {
         self.chains.get(&task)
     }
 
+    /// Every `(task, chain)` in the catalog, in no particular order.
+    pub fn chains(&self) -> impl Iterator<Item = (u64, &ImageChain)> {
+        self.chains.iter().map(|(&task, chain)| (task, chain))
+    }
+
     /// Bytes the next dump of `task` would write: the dirty bytes if an
     /// incremental dump is possible (image exists and the chain is below the
     /// consolidation bound), else the full footprint.
@@ -359,7 +364,10 @@ impl Criu {
     }
 
     /// Restores `task` by reading its whole image chain from `device` at
-    /// time `now`. Returns `None` if the task has no image.
+    /// time `now`, taking `service` to transfer it (the caller prices the
+    /// read: a local device read, or the DFS reads of every chain image).
+    /// The read still queues FIFO on `device`. Returns `None` if the task
+    /// has no image.
     ///
     /// The images are retained after restore (the task may be preempted
     /// again and dump incrementally on top); call [`Criu::discard`] when the
@@ -369,14 +377,15 @@ impl Criu {
         task: u64,
         device: &mut Device,
         now: SimTime,
+        service: SimDuration,
     ) -> Option<RestoreResult> {
         let _prof = cbp_prof::scope("criu_restore");
-        let size = self.image_size(task);
-        if size.is_zero() {
+        if !self.has_image(task) {
             return None;
         }
+        let size = self.image_size(task);
         self.restores += 1;
-        let op = device.submit_read(now, size);
+        let op = device.submit_custom(now, cbp_storage::OpKind::Read, size, service);
         Some(RestoreResult { op, size })
     }
 
@@ -628,10 +637,12 @@ mod tests {
         mem.touch_fraction(0.10);
         criu.dump(1, &mut mem, 0, &mut dev, SimTime::from_secs(100))
             .unwrap();
+        let service = dev.spec().read_time(criu.image_size(1));
         let r = criu
-            .restore(1, &mut dev, SimTime::from_secs(200))
+            .restore(1, &mut dev, SimTime::from_secs(200), service)
             .expect("image exists");
         assert_eq!(r.size, ByteSize::from_mb(5500));
+        assert_eq!(r.op.end.since(r.op.start), service);
         assert_eq!(criu.restores(), 1);
     }
 
@@ -639,7 +650,9 @@ mod tests {
     fn restore_without_image_is_none() {
         let mut criu = Criu::new(true);
         let mut dev = Device::new(MediaSpec::nvm());
-        assert!(criu.restore(42, &mut dev, SimTime::ZERO).is_none());
+        assert!(criu
+            .restore(42, &mut dev, SimTime::ZERO, SimDuration::ZERO)
+            .is_none());
     }
 
     #[test]

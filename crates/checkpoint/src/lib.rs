@@ -48,6 +48,7 @@ mod integrity;
 mod lifecycle;
 mod memory;
 mod nvram;
+pub mod plane;
 
 pub use criu::{
     CompressionSpec, Criu, DumpResult, OverheadEstimate, RestoreResult, DEFAULT_MAX_CHAIN_LEN,
@@ -59,3 +60,4 @@ pub use memory::{DirtyBitmap, TaskMemory, DEFAULT_PAGE_SIZE};
 pub use nvram::{
     NvmPathComparison, NvramCheckpointer, NvramError, NvramResume, NvramSpec, NvramSuspend,
 };
+pub use plane::{CheckpointPlane, DumpStarted, PlaneStats, TaskView, Validation};

@@ -7,17 +7,15 @@
 //! according to the configured [`PreemptionPolicy`].
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
-use cbp_checkpoint::{plan_evictions, Criu, EvictionCandidate, NvramCheckpointer};
+use cbp_checkpoint::{CheckpointPlane, Criu, NvramCheckpointer, TaskView, Validation};
 use cbp_cluster::{Container, ContainerId, EnergyMeter, Node, NodeId, Resources};
-use cbp_dfs::{DfsCluster, DnId};
-use cbp_faults::{BreakerTransition, FaultPlan, HealthMonitor};
-use cbp_simkit::units::ByteSize;
+use cbp_dfs::DfsCluster;
+use cbp_faults::FaultPlan;
 use cbp_simkit::{
     run_until_observed, EventQueue, RunStats, SimDuration, SimRng, SimTime, Simulation,
 };
-use cbp_storage::{Device, MediaKind, OpKind};
 use cbp_telemetry::{
     MetricsRegistry, NullTracer, PreemptAction, StreamingQuantiles, TimeSeries, TraceRecord, Tracer,
 };
@@ -27,15 +25,6 @@ use cbp_workload::{Priority, PriorityBand, TaskSpec, Workload};
 use crate::config::{PreemptionPolicy, RestorePlacement, SimConfig, VictimSelection};
 use crate::metrics::{MetricsCollector, RunReport, TelemetryReport};
 use crate::task::{TaskState, TaskStatus};
-
-/// Short stable device name for trace records.
-fn media_name(kind: MediaKind) -> &'static str {
-    match kind {
-        MediaKind::Hdd => "hdd",
-        MediaKind::Ssd => "ssd",
-        MediaKind::Nvm => "nvm",
-    }
-}
 
 /// Periodic sim-time probe state (see [`ClusterSim::enable_sampling`]).
 struct Sampler {
@@ -94,7 +83,6 @@ type PendingKey = (Reverse<u8>, u64, u64, u32);
 
 struct NodeSlot {
     node: Node,
-    device: Device,
     meter: EnergyMeter,
     /// NVRAM checkpoint engine (when the NVRAM backend is configured).
     nvram: Option<NvramCheckpointer>,
@@ -111,8 +99,8 @@ pub struct ClusterSim {
     nodes: Vec<NodeSlot>,
     tasks: Vec<TaskState>,
     pending: BTreeSet<PendingKey>,
-    criu: Criu,
-    dfs: Option<DfsCluster>,
+    /// Checkpoint storage, recovery ladders and fault plan.
+    plane: CheckpointPlane,
     trace: TraceLog,
     metrics: MetricsCollector,
     rng: SimRng,
@@ -138,32 +126,6 @@ pub struct ClusterSim {
     sampler: Option<Sampler>,
     /// Pending-queue depth after the previous event (for change records).
     last_queue_depth: usize,
-    /// Deterministic fault oracle (absent when injection is off). Every
-    /// decision is a pure hash of (plan seed, identity), so enabling an
-    /// inert plan perturbs nothing and the same plan replays identically.
-    faults: Option<FaultPlan>,
-    /// Task → 0-based attempt index of its in-flight dump episode.
-    dump_attempts: HashMap<u32, u32>,
-    /// Task → durable bytes of its in-flight dump episode (the chunked
-    /// resume frontier: monotone within an episode, cleared when the
-    /// episode ends). A retried dump rewrites only the suffix past it.
-    dump_frontier: HashMap<u32, u64>,
-    /// Task → 0-based attempt index of its in-flight restore episode.
-    restore_attempts: HashMap<u32, u32>,
-    /// Tasks whose *current* image chain was corrupted at dump time
-    /// (decided once per image: restore retries never help).
-    corrupt_images: HashSet<u32>,
-    /// Checkpoint-path circuit breakers (present iff the plan configures
-    /// a breaker). Fed by dump/restore outcomes, capacity fallbacks and
-    /// stall observations; consulted before every checkpoint preemption.
-    health: Option<HealthMonitor>,
-    /// Rack currently isolated by a chaos-plan network partition.
-    active_partition: Option<u32>,
-    /// Per-node checkpoint-device bytes reserved by injected leaks
-    /// (pressure plan) that no live image owns. The conservation
-    /// invariant is `device.used == ledger live bytes + leaked`; a GC
-    /// pass reclaims these.
-    leaked: Vec<u64>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -173,17 +135,44 @@ struct Reservation {
     drains_left: u32,
 }
 
-/// Outcome of chunk-level restore validation (resume mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ChainValidation {
-    /// Every image verified (possibly after targeted replica re-fetches):
-    /// the restore proceeds.
-    Intact,
-    /// The chain was cut to its longest valid prefix and a restore of the
-    /// shorter chain is in flight.
-    Truncated,
-    /// No valid prefix survived: the task restarted from scratch.
-    Dead,
+/// The plane's view of the trace simulator's tasks and nodes.
+struct View<'a> {
+    tasks: &'a mut [TaskState],
+    nodes: &'a [NodeSlot],
+}
+
+impl TaskView for View<'_> {
+    fn node_up(&self, node: usize) -> bool {
+        self.nodes[node].up
+    }
+
+    fn in_episode(&self, key: u64) -> bool {
+        matches!(
+            self.tasks[key as usize].status,
+            TaskStatus::Dumping { .. } | TaskStatus::Restoring { .. }
+        )
+    }
+
+    fn chain_value(&self, key: u64) -> f64 {
+        let task = &self.tasks[key as usize];
+        task.checkpointed_progress.as_secs_f64() * task.spec.resources.cores_f64()
+    }
+
+    fn chain_dropped(&mut self, key: u64) {
+        drop_checkpoint(&mut self.tasks[key as usize]);
+    }
+}
+
+/// Degrades a task whose chain is gone: the next dump is full and a
+/// queued restore becomes a fresh start (still queued under its key).
+fn drop_checkpoint(task: &mut TaskState) {
+    task.checkpointed_progress = SimDuration::ZERO;
+    if let Some(mem) = task.memory.as_mut() {
+        mem.mark_all_dirty();
+    }
+    if matches!(task.status, TaskStatus::Checkpointed { .. }) {
+        task.status = TaskStatus::Pending;
+    }
 }
 
 impl ClusterSim {
@@ -196,19 +185,9 @@ impl ClusterSim {
             .clone()
             .filter(|spec| !spec.is_inert())
             .map(FaultPlan::new);
-        // A pressure plan shrinks every node's checkpoint device before the
-        // run starts (the fleet was provisioned smaller than the workload
-        // needs); leak injection on top happens via `PressureTick`.
-        let frac = faults.as_ref().map_or(1.0, |p| p.capacity_frac());
-        let media = if frac < 1.0 {
-            cfg.media.with_capacity(cfg.media.capacity().mul_f64(frac))
-        } else {
-            cfg.media
-        };
         let nodes = (0..cfg.nodes)
             .map(|i| NodeSlot {
                 node: Node::new(NodeId(i as u32), cfg.node_resources),
-                device: Device::new(media),
                 meter: EnergyMeter::new(cfg.energy),
                 nvram: cfg.nvram.map(NvramCheckpointer::new),
                 up: true,
@@ -238,25 +217,17 @@ impl ClusterSim {
         if let Some(compression) = cfg.compression {
             criu = criu.with_compression(compression);
         }
-        if let Some(plan) = &faults {
-            // Manifests chunk at the plan's transfer granularity so the
-            // per-chunk corruption draws and the resume frontier agree.
-            criu = criu.with_chunk_bytes(plan.chunk_bytes());
-        }
-        let health = faults
-            .as_ref()
-            .and_then(|p| p.breaker())
-            .map(|spec| HealthMonitor::new(*spec, n_nodes));
+        // A pressure plan shrinks every checkpoint device before the run
+        // (the fleet was provisioned smaller than the workload needs);
+        // leak injection on top happens via `PressureTick`.
+        let plane = CheckpointPlane::new(criu, cfg.media, n_nodes, faults, dfs, cfg.lifecycle);
         ClusterSim {
-            health,
-            criu,
-            faults,
+            plane,
             cfg,
             workload,
             nodes,
             tasks,
             pending: BTreeSet::new(),
-            dfs,
             trace: TraceLog::new(),
             metrics: MetricsCollector::default(),
             rng,
@@ -272,12 +243,6 @@ impl ClusterSim {
             trace_on: false,
             sampler: None,
             last_queue_depth: 0,
-            dump_attempts: HashMap::new(),
-            dump_frontier: HashMap::new(),
-            restore_attempts: HashMap::new(),
-            corrupt_images: HashSet::new(),
-            active_partition: None,
-            leaked: vec![0; n_nodes],
         }
     }
 
@@ -339,7 +304,7 @@ impl ClusterSim {
                 self.schedule_next_failure(node, SimTime::ZERO, &mut queue);
             }
         }
-        if let Some(plan) = &self.faults {
+        if let Some(plan) = self.plane.plan() {
             if plan.crash().is_some() {
                 queue.push(SimTime::ZERO, Event::ChaosCrashTick);
             }
@@ -352,27 +317,29 @@ impl ClusterSim {
         }
         let stats = run_until_observed(&mut self, &mut queue, SimTime::MAX, &mut |_| {});
         let makespan = stats.now;
-        if let Some(h) = &self.health {
-            self.metrics.breaker_open_secs = h.open_secs_total(makespan);
-        }
+        self.metrics.breaker_open_secs = self.plane.breaker_open_secs(makespan);
         self.tracer.finish();
 
         let label = format!("{}-{}", self.cfg.policy, self.cfg.media.kind());
         let energy_kwh: f64 = self.nodes.iter().map(|n| n.meter.kwh(makespan)).sum();
-        let horizon = makespan.since(SimTime::ZERO);
-        let io_overhead = mean(self.nodes.iter().map(|n| n.device.busy_fraction(horizon)));
-        let storage_peak = mean(self.nodes.iter().map(|n| n.device.peak_used_fraction()));
-        let incremental = self.criu.incremental_dumps();
-        let registry = self.build_registry(makespan, energy_kwh, io_overhead, storage_peak, &stats);
+        let io_overhead = self.plane.io_busy_fraction(makespan.since(SimTime::ZERO));
+        let storage_peak = self.plane.peak_used_fraction();
+        let incremental = self.plane.incremental_dumps();
+        let registry = self.build_registry(makespan, energy_kwh, &stats);
         let telemetry = TelemetryReport {
             registry,
             timeseries: self.sampler.take().map(|s| s.series),
             engine_events: stats.events,
             engine_wall_secs: stats.wall.as_secs_f64(),
         };
-        let metrics =
-            self.metrics
-                .into_metrics(makespan, energy_kwh, io_overhead, storage_peak, incremental);
+        let metrics = self.metrics.into_metrics(
+            makespan,
+            energy_kwh,
+            io_overhead,
+            storage_peak,
+            incremental,
+            self.plane.stats(),
+        );
         RunReport {
             label,
             metrics,
@@ -392,12 +359,12 @@ impl ClusterSim {
         &self,
         makespan: SimTime,
         energy_kwh: f64,
-        io_overhead: f64,
-        storage_peak: f64,
         stats: &RunStats,
     ) -> MetricsRegistry {
         let m = &self.metrics;
+        let p = self.plane.stats();
         let mut reg = MetricsRegistry::new();
+        self.plane.register(&mut reg, makespan);
         reg.set_counter("engine.events", "events", stats.events);
         reg.set_counter("scheduler.preemptions", "ops", m.preemptions);
         reg.set_counter("scheduler.kills", "ops", m.kills);
@@ -405,14 +372,6 @@ impl ClusterSim {
         reg.set_counter("scheduler.restores", "ops", m.restores);
         reg.set_counter("scheduler.remote_restores", "ops", m.remote_restores);
         reg.set_counter("scheduler.capacity_fallbacks", "ops", m.capacity_fallbacks);
-        reg.set_counter(
-            "lifecycle.gc_reclaimed_bytes",
-            "bytes",
-            m.gc_reclaimed_bytes,
-        );
-        reg.set_counter("lifecycle.evicted_chains", "ops", m.evicted_chains);
-        reg.set_counter("lifecycle.spill_dumps", "ops", m.spill_dumps);
-        reg.set_counter("lifecycle.no_space_kills", "ops", m.no_space_kills);
         reg.set_counter("scheduler.failure_evictions", "ops", m.failure_evictions);
         reg.set_counter(
             "scheduler.images_lost_to_failures",
@@ -422,24 +381,12 @@ impl ClusterSim {
         reg.set_counter("scheduler.tasks_finished", "ops", m.tasks_finished);
         reg.set_counter("scheduler.jobs_finished", "ops", m.jobs_finished);
         reg.set_counter("faults.crash_evictions", "ops", m.crash_evictions);
-        reg.set_counter("faults.breaker_open_kills", "ops", m.breaker_open_kills);
-        reg.set_gauge("faults.breaker_open_secs", "s", m.breaker_open_secs);
-        reg.set_counter("faults.dump_fail_retries", "ops", m.dump_fail_retries);
-        reg.set_counter("faults.dump_fail_kills", "ops", m.dump_fail_kills);
-        reg.set_counter("faults.restore_fail_retries", "ops", m.restore_fail_retries);
+        reg.set_counter("faults.dump_fail_retries", "ops", p.dump_fail_retries);
+        reg.set_counter("faults.restore_fail_retries", "ops", p.restore_fail_retries);
         reg.set_counter("faults.scratch_restarts", "ops", m.scratch_restarts);
-        reg.set_counter("integrity.resumed_dumps", "ops", m.resumed_dumps);
-        reg.set_counter("integrity.resumed_bytes", "bytes", m.resumed_bytes);
-        reg.set_counter("integrity.chunk_refetches", "ops", m.chunk_refetches);
-        reg.set_counter("integrity.chain_truncations", "ops", m.chain_truncations);
-        reg.set_counter(
-            "integrity.scratch_restarts",
-            "ops",
-            m.integrity_scratch_restarts,
-        );
-        reg.set_counter("dfs.blocks_repaired", "blocks", m.dfs_blocks_repaired);
-        reg.set_counter("dfs.repair_bytes", "bytes", m.dfs_repair_bytes);
-        reg.set_counter("dfs.blocks_lost", "blocks", m.dfs_blocks_lost);
+        reg.set_counter("dfs.blocks_repaired", "blocks", p.dfs_blocks_repaired);
+        reg.set_counter("dfs.repair_bytes", "bytes", p.dfs_repair_bytes);
+        reg.set_counter("dfs.blocks_lost", "blocks", p.dfs_blocks_lost);
         reg.set_gauge("scheduler.makespan_secs", "s", makespan.as_secs_f64());
         reg.set_gauge("cpu.useful_hours", "cpu-hours", m.useful_cpu_secs / 3600.0);
         reg.set_gauge(
@@ -458,36 +405,6 @@ impl ClusterSim {
             m.restore_overhead_cpu_secs / 3600.0,
         );
         reg.set_gauge("energy.total_kwh", "kWh", energy_kwh);
-        reg.set_gauge("storage.io_busy_fraction", "fraction", io_overhead);
-        reg.set_gauge("storage.peak_used_fraction", "fraction", storage_peak);
-        if let Some(first) = self.nodes.first() {
-            let mut writes = first.device.write_latency().clone();
-            let mut reads = first.device.read_latency().clone();
-            for slot in &self.nodes[1..] {
-                writes.merge(slot.device.write_latency());
-                reads.merge(slot.device.read_latency());
-            }
-            reg.set_histogram("storage.write_latency_secs", "s", &writes);
-            reg.set_histogram("storage.read_latency_secs", "s", &reads);
-            let written: u64 = self
-                .nodes
-                .iter()
-                .map(|n| n.device.bytes_written().as_u64())
-                .sum();
-            let read: u64 = self
-                .nodes
-                .iter()
-                .map(|n| n.device.bytes_read().as_u64())
-                .sum();
-            reg.set_counter("storage.bytes_written", "bytes", written);
-            reg.set_counter("storage.bytes_read", "bytes", read);
-        }
-        let underflows: u64 = self
-            .nodes
-            .iter()
-            .map(|n| n.device.accounting_underflows())
-            .sum();
-        reg.set_counter("storage.accounting_underflows", "ops", underflows);
         let mut responses = StreamingQuantiles::new();
         for samples in m.responses.values() {
             for &v in samples.values() {
@@ -529,8 +446,9 @@ impl ClusterSim {
                 util_sum += slot.node.cpu_utilization();
                 up_nodes += 1;
             }
-            ckpt.push(slot.device.used_fraction());
-            let total = slot.device.busy_time().as_secs_f64();
+            let device = self.plane.device(i);
+            ckpt.push(device.used_fraction());
+            let total = device.busy_time().as_secs_f64();
             let delta = (total - s.prev_busy[i]).max(0.0);
             s.prev_busy[i] = total;
             busy.push((delta / s.interval.as_secs_f64()).min(1.0));
@@ -685,7 +603,16 @@ impl ClusterSim {
         if self.cfg.nvram.is_some() {
             self.nvram_origin.contains_key(&t)
         } else {
-            self.criu.has_image(handle_u64(t))
+            self.plane.has_image(handle_u64(t))
+        }
+    }
+
+    /// Node holding `t`'s newest checkpoint (NVRAM mirror or image tip).
+    fn checkpoint_origin(&self, t: u32) -> Option<u32> {
+        if self.cfg.nvram.is_some() {
+            self.nvram_origin.get(&t).copied()
+        } else {
+            self.plane.tip_origin(handle_u64(t))
         }
     }
 
@@ -704,7 +631,7 @@ impl ClusterSim {
         // ablation.
         if self.cfg.nvram.is_some()
             || self.cfg.restore_placement == RestorePlacement::LocalOnly
-            || self.dfs.is_none()
+            || !self.plane.has_dfs()
         {
             return origin_fits.then_some(origin);
         }
@@ -745,64 +672,19 @@ impl ClusterSim {
     /// this helper, so placement and victim ranking see the same penalty
     /// the actual transfers pay.
     fn device_factor(&self, i: usize, now: SimTime) -> f64 {
-        let Some(plan) = self.faults.as_ref() else {
-            return 1.0;
-        };
-        let mut factor = plan.device_factor(i as u32, now);
-        if let (Some(rack), Some(p)) = (self.active_partition, plan.partition()) {
-            if plan.rack_of(i as u32) == rack {
-                factor *= p.penalty;
-            }
-        }
-        factor
-    }
-
-    /// Feeds one checkpoint-path outcome on `node` into the breakers and
-    /// traces any state transitions.
-    fn observe_health(&mut self, node: usize, now: SimTime, ok: bool) {
-        let Some(h) = self.health.as_mut() else {
-            return;
-        };
-        let events = h.observe(node as u32, now, ok);
-        if self.trace_on {
-            for e in events {
-                let rec = match e.transition {
-                    BreakerTransition::Opened => TraceRecord::BreakerOpen {
-                        node: e.node.unwrap_or(0),
-                        global: e.node.is_none(),
-                    },
-                    BreakerTransition::Closed => TraceRecord::BreakerClose {
-                        node: e.node.unwrap_or(0),
-                        global: e.node.is_none(),
-                    },
-                };
-                self.tracer.record(now.as_micros(), &rec);
-            }
-        }
+        self.plane.stall_factor(i, now) * self.plane.partition_factor(i)
     }
 
     /// Breaker gate for a checkpoint decision: when the checkpoint path
     /// on `node` is considered down, the victim is killed instead
     /// (graceful degradation) and `true` is returned.
     fn breaker_denies(&mut self, v: u32, node: usize, now: SimTime, policy: &'static str) -> bool {
-        let Some(h) = self.health.as_mut() else {
-            return false;
-        };
-        if h.allow(node as u32, now) {
+        if self.plane.breaker_allows(node, now) {
             return false;
         }
         self.trace_preempt_decision(now, v, node, PreemptAction::Kill, policy, "breaker-open");
-        if self.trace_on {
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::DumpFallback {
-                    task: v as u64,
-                    node: node as u32,
-                    reason: "breaker-open",
-                },
-            );
-        }
-        self.metrics.breaker_open_kills += 1;
+        self.plane
+            .breaker_kill(&mut *self.tracer, now, handle_u64(v), node);
         self.kill_task(v, node, now);
         true
     }
@@ -811,7 +693,7 @@ impl ClusterSim {
     /// Degradation-aware: a stalled device makes its own restores look
     /// expensive, steering cost-aware placement elsewhere.
     fn restore_cost(&self, t: u32, i: usize, now: SimTime) -> SimDuration {
-        let queue = self.nodes[i].device.queue_wait(now);
+        let queue = self.plane.device(i).queue_wait(now);
         let cost = queue + self.restore_service(t, i);
         let factor = self.device_factor(i, now);
         if factor > 1.0 {
@@ -830,22 +712,7 @@ impl ClusterSim {
                 .restore_bw
                 .transfer_time(footprint.mul_f64(spec.lazy_restore_fraction));
         }
-        let task = &self.tasks[t as usize];
-        match &self.dfs {
-            Some(dfs) => task
-                .dfs_paths
-                .iter()
-                .map(|p| {
-                    dfs.read_cost(p, DnId(i as u32))
-                        .map(|c| c.duration)
-                        .unwrap_or(SimDuration::ZERO)
-                })
-                .sum(),
-            None => {
-                let size = self.criu.image_size(handle_u64(t));
-                self.nodes[i].device.spec().read_time(size)
-            }
-        }
+        self.plane.restore_service(handle_u64(t), i)
     }
 
     // ---- lifecycle transitions -----------------------------------------
@@ -886,54 +753,39 @@ impl ClusterSim {
                 TaskStatus::Checkpointed { origin } => origin,
                 _ => unreachable!("image implies checkpointed status"),
             };
-            let mut service = self.restore_service(t, node);
-            // A stall window on the reading device slows the restore.
-            let factor = self.device_factor(node, now);
-            if factor > 1.0 && self.cfg.nvram.is_none() {
-                service = service.mul_f64(factor);
-            }
-            if self.faults.is_some() {
-                // New restore episode: attempt numbering restarts.
-                self.restore_attempts.insert(t, 0);
-            }
             let (start, end) = if self.cfg.nvram.is_some() {
                 // NVRAM resume is a memory copy; it does not queue on the
                 // storage device. Record it on the engine for stats.
+                let service = self.restore_service(t, node);
                 if let Some(engine) = self.nodes[node].nvram.as_mut() {
                     let _ = engine.resume(handle_u64(t), true);
                 }
+                if self.trace_on {
+                    self.tracer.record(
+                        now.as_micros(),
+                        &TraceRecord::RestoreStart {
+                            task: t as u64,
+                            node: node as u32,
+                            origin,
+                            device: "nvram",
+                            bytes: self.tasks[t as usize].spec.resources.mem().as_u64(),
+                            remote: origin != node as u32,
+                        },
+                    );
+                }
                 (now, now + service)
             } else {
-                let size = self.criu.image_size(handle_u64(t));
-                let op = self.nodes[node]
-                    .device
-                    .submit_custom(now, OpKind::Read, size, service);
+                // A stall window on the reading device slows the restore.
+                let factor = self.device_factor(node, now);
+                let op = self.plane.start_restore(
+                    &mut *self.tracer,
+                    now,
+                    handle_u64(t),
+                    (node, origin),
+                    factor,
+                );
                 (op.start, op.end)
             };
-            if self.trace_on {
-                let (device, bytes) = if self.cfg.nvram.is_some() {
-                    (
-                        "nvram",
-                        self.tasks[t as usize].spec.resources.mem().as_u64(),
-                    )
-                } else {
-                    (
-                        media_name(self.cfg.media.kind()),
-                        self.criu.image_size(handle_u64(t)).as_u64(),
-                    )
-                };
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::RestoreStart {
-                        task: t as u64,
-                        node: node as u32,
-                        origin,
-                        device,
-                        bytes,
-                        remote: origin != node as u32,
-                    },
-                );
-            }
             let task = &mut self.tasks[t as usize];
             task.status = TaskStatus::Restoring {
                 node: node as u32,
@@ -1009,14 +861,7 @@ impl ClusterSim {
         self.release_container(t, now);
 
         let has_image = self.has_checkpoint(t);
-        let origin = if self.cfg.nvram.is_some() {
-            self.nvram_origin.get(&t).copied()
-        } else {
-            self.criu
-                .chain(handle_u64(t))
-                .and_then(|c| c.tip())
-                .map(|r| r.origin_node)
-        };
+        let origin = self.checkpoint_origin(t);
         let task = &mut self.tasks[t as usize];
         task.epoch += 1;
         task.preemptions += 1;
@@ -1045,202 +890,6 @@ impl ClusterSim {
         self.enqueue_pending(t);
         if let TaskStatus::Checkpointed { .. } = status {
             self.tasks[t as usize].status = status;
-        }
-    }
-
-    /// Picks the device that will hold a dump of `size` from `node`:
-    /// node-local if it has room, else (HDFS only) the node with the most
-    /// free checkpoint space — HDFS writes spill to any datanode.
-    fn dump_origin_for(&self, node: usize, size: cbp_simkit::units::ByteSize) -> Option<usize> {
-        if self.nodes[node].device.free_capacity() >= size {
-            return Some(node);
-        }
-        self.dfs.as_ref()?;
-        (0..self.nodes.len())
-            .filter(|&i| self.nodes[i].up)
-            .max_by_key(|&i| (self.nodes[i].device.free_capacity(), std::cmp::Reverse(i)))
-            .filter(|&i| self.nodes[i].device.free_capacity() >= size)
-    }
-
-    // ---- image lifecycle (capacity backpressure ladder) -----------------
-
-    /// Image bytes task `v`'s chain holds on node `node`'s device.
-    fn chain_bytes_on(&self, v: u32, node: usize) -> ByteSize {
-        let Some(chain) = self.criu.chain(handle_u64(v)) else {
-            return ByteSize::ZERO;
-        };
-        chain
-            .images()
-            .iter()
-            .filter(|r| r.origin_node == node as u32)
-            .map(|r| r.size)
-            .fold(ByteSize::ZERO, |a, b| a + b)
-    }
-
-    /// The degradation ladder, entered when no device can hold a dump of
-    /// `size` from `node`: a GC pass (reclaiming leaked reservations and
-    /// dead chains), then eviction of the cheapest-to-lose live chains on
-    /// the local device, re-running the origin search after each rung —
-    /// which also re-offers the remote spill. Returns the origin to dump
-    /// to, or `None` when the ladder is exhausted.
-    fn reclaim_for_dump(
-        &mut self,
-        t: u32,
-        node: usize,
-        size: ByteSize,
-        now: SimTime,
-    ) -> Option<usize> {
-        self.gc_pass(now);
-        if let Some(origin) = self.dump_origin_for(node, size) {
-            return Some(origin);
-        }
-        self.evict_for(t, node, size, now);
-        self.dump_origin_for(node, size)
-    }
-
-    /// GC pass: releases every injected leaked reservation and discards
-    /// dead chains (corrupt images can never be restored, so their bytes
-    /// are pure waste). Chains with an in-flight dump or restore are left
-    /// alone — the episode owns them.
-    fn gc_pass(&mut self, now: SimTime) {
-        let n = self.nodes.len();
-        let mut reclaimed = vec![0u64; n];
-        let mut chains = vec![0u64; n];
-        for (i, bytes) in self.leaked.iter_mut().enumerate() {
-            if *bytes > 0 {
-                self.nodes[i].device.release(ByteSize::from_bytes(*bytes));
-                reclaimed[i] += *bytes;
-                *bytes = 0;
-            }
-        }
-        let mut corrupt: Vec<u32> = self.corrupt_images.iter().copied().collect();
-        corrupt.sort_unstable();
-        for v in corrupt {
-            if matches!(
-                self.tasks[v as usize].status,
-                TaskStatus::Dumping { .. } | TaskStatus::Restoring { .. }
-            ) {
-                continue;
-            }
-            let tip_origin = self
-                .criu
-                .chain(handle_u64(v))
-                .and_then(|c| c.tip())
-                .map(|r| r.origin_node);
-            let mut freed_any = false;
-            if let Some(chain) = self.criu.chain(handle_u64(v)) {
-                for r in chain.images() {
-                    reclaimed[r.origin_node as usize] += r.size.as_u64();
-                    freed_any = true;
-                }
-            }
-            self.discard_chain(v);
-            if freed_any {
-                if let Some(o) = tip_origin {
-                    chains[o as usize] += 1;
-                }
-                // Same degradation as losing the chain to a failure: the
-                // checkpointed progress was never restorable anyway.
-                let task = &mut self.tasks[v as usize];
-                task.checkpointed_progress = SimDuration::ZERO;
-                if let Some(mem) = task.memory.as_mut() {
-                    mem.mark_all_dirty();
-                }
-                if matches!(task.status, TaskStatus::Checkpointed { .. }) {
-                    task.status = TaskStatus::Pending;
-                }
-            }
-        }
-        for i in 0..n {
-            if reclaimed[i] == 0 && chains[i] == 0 {
-                continue;
-            }
-            self.metrics.gc_reclaimed_bytes += reclaimed[i];
-            if self.trace_on {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::GcPass {
-                        node: i as u32,
-                        reclaimed: reclaimed[i],
-                        chains: chains[i],
-                    },
-                );
-            }
-        }
-    }
-
-    /// Evicts the cheapest-to-lose live chains holding bytes on `node`'s
-    /// device until a dump of `size` fits (or no plan covers the
-    /// shortfall; partial eviction would destroy progress for nothing).
-    /// Evicted tasks degrade exactly like tasks whose chain was lost: the
-    /// next dump is full, a queued restore becomes a fresh start.
-    fn evict_for(&mut self, t: u32, node: usize, size: ByteSize, now: SimTime) {
-        let shortfall = size.saturating_sub(self.nodes[node].device.free_capacity());
-        if shortfall.is_zero() {
-            return;
-        }
-        let mut candidates: Vec<EvictionCandidate> = Vec::new();
-        for v in 0..self.tasks.len() as u32 {
-            if v == t
-                || matches!(
-                    self.tasks[v as usize].status,
-                    TaskStatus::Dumping { .. } | TaskStatus::Restoring { .. }
-                )
-            {
-                continue;
-            }
-            let bytes_on_node = self.chain_bytes_on(v, node);
-            if bytes_on_node.is_zero() {
-                continue;
-            }
-            let task = &self.tasks[v as usize];
-            candidates.push(EvictionCandidate {
-                task: handle_u64(v),
-                cost_core_secs: task.checkpointed_progress.as_secs_f64()
-                    * task.spec.resources.cores_f64(),
-                bytes_on_node,
-            });
-        }
-        for victim in plan_evictions(candidates, shortfall) {
-            let v = victim.task as u32;
-            self.metrics.evicted_chains += 1;
-            if self.trace_on {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::ImageEvict {
-                        task: victim.task,
-                        node: node as u32,
-                        bytes: victim.bytes_on_node.as_u64(),
-                    },
-                );
-            }
-            self.discard_chain(v);
-            let task = &mut self.tasks[v as usize];
-            task.checkpointed_progress = SimDuration::ZERO;
-            if let Some(mem) = task.memory.as_mut() {
-                mem.mark_all_dirty();
-            }
-            if matches!(task.status, TaskStatus::Checkpointed { .. }) {
-                task.status = TaskStatus::Pending;
-            }
-        }
-    }
-
-    /// Hard conservation invariant (checked after every event in debug
-    /// builds): every byte reserved on a node's checkpoint device is owned
-    /// by a live catalog image or an injected leak.
-    #[cfg(debug_assertions)]
-    fn assert_image_conservation(&self, now: SimTime) {
-        // Manifest ↔ catalog ↔ ledger first (per-image checksums and
-        // per-node byte recomputation), then ledger ↔ device reservations.
-        self.criu.assert_manifest_consistency();
-        for (i, slot) in self.nodes.iter().enumerate() {
-            let expected = self.criu.live_bytes_on(i as u32).as_u64() + self.leaked[i];
-            assert_eq!(
-                slot.device.used().as_u64(),
-                expected,
-                "image-ledger conservation violated on node {i} at {now:?}"
-            );
         }
     }
 
@@ -1321,7 +970,8 @@ impl ClusterSim {
                 // The node's NVRAM is full; mirrors are node-local so there
                 // is nowhere to spill.
                 self.metrics.capacity_fallbacks += 1;
-                self.observe_health(node, now, false);
+                self.plane
+                    .observe_health(&mut *self.tracer, now, node, false);
                 if self.trace_on {
                     self.tracer.record(
                         now.as_micros(),
@@ -1346,226 +996,107 @@ impl ClusterSim {
         if self.cfg.nvram.is_some() {
             return !self.dump_task_nvram(t, node, now, q);
         }
-        let (size, _) = {
-            let task = &self.tasks[t as usize];
-            self.criu.next_dump_size(
-                handle_u64(t),
-                task.memory.as_ref().expect("sync_memory created the image"),
-            )
+        let key = handle_u64(t);
+        let size = self.plane.next_dump_size(
+            key,
+            self.tasks[t as usize]
+                .memory
+                .as_ref()
+                .expect("sync_memory created the image"),
+        );
+        // No device can hold the image even after the lifecycle ladder
+        // (or, with lifecycle disabled, the bare search): fall back to
+        // killing.
+        let mut view = View {
+            tasks: &mut self.tasks,
+            nodes: &self.nodes,
         };
-
-        let origin = match self.dump_origin_for(node, size) {
-            Some(origin) => Some(origin),
-            // Degradation ladder: GC leaked/dead reservations, then evict
-            // the cheapest live chains, then retry the origin search
-            // (which spills to a remote device when the DFS allows it).
-            None if self.cfg.lifecycle => self.reclaim_for_dump(t, node, size, now),
-            None => None,
-        };
-        let Some(origin) = origin else {
-            // No node can hold the image, even after the ladder (or with
-            // lifecycle disabled, after the bare search): fall back to
-            // killing.
+        let Some(origin) =
+            self.plane
+                .admit_dump(&mut *self.tracer, now, key, node, size, &mut view)
+        else {
             self.metrics.capacity_fallbacks += 1;
-            self.metrics.no_space_kills += 1;
-            self.observe_health(node, now, false);
-            if self.trace_on {
-                if self.cfg.lifecycle {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::NoSpace {
-                            task: t as u64,
-                            node: node as u32,
-                            wanted: size.as_u64(),
-                        },
-                    );
-                }
-                let reason = if self.cfg.lifecycle {
-                    "no-space"
-                } else {
-                    "no-capacity"
-                };
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::DumpFallback {
-                        task: t as u64,
-                        node: node as u32,
-                        reason,
-                    },
-                );
-            }
             self.kill_task(t, node, now);
             return false;
         };
-        if origin != node && self.cfg.lifecycle {
-            // The dump is being written to a remote node's device (spill):
-            // the write pays the DFS pipeline and the restore is remote.
-            self.metrics.spill_dumps += 1;
-            if self.trace_on {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::ImageSpill {
-                        task: t as u64,
-                        node: node as u32,
-                        origin: origin as u32,
-                        bytes: size.as_u64(),
-                    },
-                );
-            }
-        }
-
-        // Through HDFS the pipelined write is the service time; locally the
-        // device's own write speed applies. With compression enabled, only
-        // the compressed bytes cross the pipeline.
-        let wire_size = self
-            .criu
-            .compression()
-            .map(|c| c.compressed_size(size))
-            .unwrap_or(size);
+        // A stall window (or partition) on the origin device degrades the
+        // dump's service time.
+        let slowdown = (origin, self.device_factor(origin, now));
         let epoch = self.tasks[t as usize].epoch;
-        // A stall window on the origin device degrades the dump's service
-        // time (HDFS pipeline and local writes alike).
-        let factor = self.device_factor(origin, now);
-        if factor > 1.0 {
-            // A degraded checkpoint path (stall window or rack partition)
-            // is a health signal even when the dump eventually completes.
-            self.observe_health(origin, now, false);
-        }
-        let service = match &mut self.dfs {
-            Some(dfs) => {
-                let path = format!(
-                    "/ckpt/{t}/{epoch}/{}",
-                    self.tasks[t as usize].dfs_paths.len()
-                );
-                match dfs.create(&path, wire_size, DnId(node as u32)) {
-                    Ok(receipt) => {
-                        self.tasks[t as usize].dfs_paths.push(path);
-                        if factor > 1.0 {
-                            Some(receipt.duration.mul_f64(factor))
-                        } else {
-                            Some(receipt.duration)
-                        }
-                    }
-                    Err(_) => None,
-                }
-            }
-            None if factor > 1.0 => Some(
-                self.nodes[origin]
-                    .device
-                    .spec()
-                    .write_time(wire_size)
-                    .mul_f64(factor),
-            ),
-            None => None,
-        };
-
-        let task = &mut self.tasks[t as usize];
-        let mem = task.memory.as_mut().expect("sync_memory created the image");
-        let dump = self.criu.dump_with(
-            handle_u64(t),
-            mem,
-            origin as u32,
-            &mut self.nodes[origin].device,
+        let mem = self.tasks[t as usize]
+            .memory
+            .as_mut()
+            .expect("sync_memory created the image");
+        let Some(dump) = self.plane.write_dump(
+            &mut *self.tracer,
             now,
-            service,
+            key,
+            node,
+            origin,
+            size,
+            slowdown,
+            move |n| format!("/ckpt/{t}/{epoch}/{n}"),
+            mem,
+        ) else {
+            // Checkpoint storage is full: fall back to killing.
+            self.metrics.capacity_fallbacks += 1;
+            self.kill_task(t, node, now);
+            return false;
+        };
+        let cores = self.tasks[t as usize].spec.resources.cores_f64();
+        let mut unused = 0;
+        // Wastage is *CPU time*: the dump burns CPU while copying (service
+        // time); while queued the victim is stopped and burns none.
+        // Queueing still delays resource release and response times
+        // through the DumpDone event time.
+        self.metrics.charge_dump(
+            dump.op.end.since(dump.op.start),
+            cores,
+            &mut unused,
+            dump.incremental,
         );
-        match dump {
-            Ok(result) => {
-                for (origin, bytes) in &result.freed {
-                    self.nodes[*origin as usize].device.release(*bytes);
-                }
-                let was_incremental = matches!(
-                    result.kind,
-                    cbp_checkpoint::CheckpointKind::Incremental { .. }
-                );
-                let cores = self.tasks[t as usize].spec.resources.cores_f64();
-                let mut unused = 0;
-                // Wastage is *CPU time*: the dump burns CPU while copying
-                // (service time); while queued the victim is stopped and
-                // burns none. Queueing still delays resource release and
-                // response times through the DumpDone event time.
-                self.metrics.charge_dump(
-                    result.op.end.since(result.op.start),
-                    cores,
-                    &mut unused,
-                    was_incremental,
-                );
-                self.emit(
-                    now,
-                    t,
-                    TraceEventKind::Evict {
-                        machine: node as u32,
-                    },
-                );
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::DumpStart {
-                            task: t as u64,
-                            node: node as u32,
-                            device: media_name(self.cfg.media.kind()),
-                            bytes: wire_size.as_u64(),
-                            incremental: was_incremental,
-                        },
-                    );
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::TaskEvict {
-                            task: t as u64,
-                            node: node as u32,
-                            reason: "dump",
-                        },
-                    );
-                }
-                let task = &mut self.tasks[t as usize];
-                let container = match task.status {
-                    TaskStatus::Running { container, .. } => container,
-                    _ => unreachable!("dump victim must be running"),
-                };
-                task.status = TaskStatus::Dumping {
+        self.emit(
+            now,
+            t,
+            TraceEventKind::Evict {
+                machine: node as u32,
+            },
+        );
+        if self.trace_on {
+            self.tracer.record(
+                now.as_micros(),
+                &TraceRecord::TaskEvict {
+                    task: key,
                     node: node as u32,
-                    container,
-                };
-                task.epoch += 1;
-                task.preemptions += 1;
-                let epoch = task.epoch;
-                if self.faults.is_some() {
-                    // New dump episode: attempt numbering restarts.
-                    self.dump_attempts.insert(t, 0);
-                }
-                q.push(
-                    result.op.end,
-                    Event::DumpDone {
-                        task: t,
-                        epoch,
-                        // Device service start (not submission time): the
-                        // trace's dump span then measures service time, and
-                        // `start_us - evict time` exposes the checkpoint
-                        // queue wait to blame analysis.
-                        started: result.op.start,
-                    },
-                );
-                true
-            }
-            Err(_) => {
-                // Checkpoint storage is full: fall back to killing.
-                self.metrics.capacity_fallbacks += 1;
-                self.metrics.no_space_kills += 1;
-                self.observe_health(node, now, false);
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::DumpFallback {
-                            task: t as u64,
-                            node: node as u32,
-                            reason: "storage-full",
-                        },
-                    );
-                }
-                self.kill_task(t, node, now);
-                false
-            }
+                    reason: "dump",
+                },
+            );
         }
+        let task = &mut self.tasks[t as usize];
+        let container = match task.status {
+            TaskStatus::Running { container, .. } => container,
+            _ => unreachable!("dump victim must be running"),
+        };
+        task.status = TaskStatus::Dumping {
+            node: node as u32,
+            container,
+        };
+        task.epoch += 1;
+        task.preemptions += 1;
+        let epoch = task.epoch;
+        q.push(
+            dump.op.end,
+            Event::DumpDone {
+                task: t,
+                epoch,
+                // Device service start (not submission time): the trace's
+                // dump span then measures service time, and `start_us -
+                // evict time` exposes the checkpoint queue wait to blame
+                // analysis.
+                started: dump.op.start,
+            },
+        );
+        true
     }
 
     /// Preempts one victim according to the active policy. Returns `true` if
@@ -1610,10 +1141,7 @@ impl ClusterSim {
                     let mem = task.memory.as_ref().expect("sync_memory created the image");
                     match &self.nodes[node].nvram {
                         Some(engine) => engine.estimate_total(handle_u64(v), mem),
-                        None => self
-                            .criu
-                            .estimate(handle_u64(v), mem, &self.nodes[node].device, now)
-                            .total(),
+                        None => self.plane.estimate(handle_u64(v), mem, node, now).total(),
                     }
                 };
                 if self.tasks[v as usize].progress_at_risk() > est_total {
@@ -1686,9 +1214,9 @@ impl ClusterSim {
         } else {
             mem
         };
-        let spec = self.nodes[node].device.spec();
-        let dump = spec.write_time(size) + spec.read_time(size);
-        let queue = self.nodes[node].device.queue_wait(now);
+        let device = self.plane.device(node);
+        let dump = device.spec().write_time(size) + device.spec().read_time(size);
+        let queue = device.queue_wait(now);
         let factor = self.device_factor(node, now);
         let mut cost = (dump + queue).as_secs_f64();
         if factor > 1.0 {
@@ -1698,7 +1226,7 @@ impl ClusterSim {
         // With chunked resume a retry rewrites only the suffix past the
         // durable frontier — on average half the image — so resumable
         // victims rank cheaper than they would under full rewrites.
-        if let Some(plan) = &self.faults {
+        if let Some(plan) = self.plane.plan() {
             let p = plan.spec().dump_fail_prob;
             if p > 0.0 {
                 let expected_retries =
@@ -1725,7 +1253,7 @@ impl ClusterSim {
         let restrict = match self.tasks[t as usize].status {
             TaskStatus::Checkpointed { origin }
                 if self.cfg.restore_placement == RestorePlacement::LocalOnly
-                    || self.dfs.is_none() =>
+                    || !self.plane.has_dfs() =>
             {
                 Some(origin as usize)
             }
@@ -1830,26 +1358,11 @@ impl ClusterSim {
 
     // ---- fault handling (checkpoint failure recovery policies) ---------
 
-    /// Discards task `t`'s CRIU chain and DFS files, releasing device
-    /// reservations and namespace entries, and clears its corruption flag.
-    fn discard_chain(&mut self, t: u32) {
-        for (origin, bytes) in self.criu.discard(handle_u64(t)) {
-            self.nodes[origin as usize].device.release(bytes);
-        }
-        if let Some(dfs) = &mut self.dfs {
-            for path in std::mem::take(&mut self.tasks[t as usize].dfs_paths) {
-                let _ = dfs.delete(&path);
-            }
-        }
-        self.corrupt_images.remove(&t);
-    }
-
     /// Handles a dump attempt that failed (detected when its device
-    /// operation completes): while retry budget remains, the image tip is
-    /// rewritten after an exponential backoff; once the budget is
-    /// exhausted the half-written tip is aborted and the victim falls
-    /// back to a hard kill — the same safety net a real NM applies when
-    /// `criu dump` keeps erroring.
+    /// operation completes): while retry budget remains the plane rewrites
+    /// the tip after a backoff; once it is exhausted the victim falls back
+    /// to a hard kill — the safety net a real NM applies when `criu dump`
+    /// keeps erroring.
     fn on_dump_failed(
         &mut self,
         t: u32,
@@ -1859,123 +1372,30 @@ impl ClusterSim {
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
-        self.observe_health(node, now, false);
-        let plan = self.faults.as_ref().expect("caller checked plan presence");
-        let will_retry = attempt < plan.max_dump_retries();
-        let backoff = plan.dump_retry_backoff(attempt + 1);
-        if self.trace_on {
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::DumpFail {
-                    task: t as u64,
-                    node: node as u32,
-                    attempt,
-                    will_retry,
-                },
-            );
-        }
-        if will_retry {
-            self.metrics.dump_fail_retries += 1;
-            self.dump_attempts.insert(t, attempt + 1);
-            // Rewrite the stored tip after the backoff. The rewrite is a
-            // plain re-write of the stored bytes at the device's (possibly
-            // degraded) sequential speed; the victim keeps holding its
-            // resources, so the rewrite window is wasted CPU.
-            let size = self
-                .criu
-                .chain(handle_u64(t))
-                .and_then(|c| c.tip())
-                .map(|r| r.size)
-                .unwrap_or_else(|| self.tasks[t as usize].spec.resources.mem());
-            let mut rewrite = size;
-            if let Some(plan) = &self.faults {
-                if plan.resume_enabled() {
-                    // Chunked resume: chunks written before the interruption
-                    // are durable. The frontier is monotone within the
-                    // episode — a later attempt never re-pays chunks an
-                    // earlier attempt landed.
-                    let frac = plan.dump_durable_frac(t as u64, epoch, attempt);
-                    let tip = self.criu.chain(handle_u64(t)).and_then(|c| c.tip());
-                    if let Some(tip) = tip {
-                        let durable = tip.manifest.durable_bytes(frac).as_u64();
-                        let total_chunks = tip.manifest.chunk_count();
-                        let prev = self.dump_frontier.get(&t).copied().unwrap_or(0);
-                        let frontier = prev.max(durable);
-                        if frontier > 0 {
-                            self.dump_frontier.insert(t, frontier);
-                            rewrite = size.saturating_sub(ByteSize::from_bytes(frontier));
-                            self.metrics.resumed_dumps += 1;
-                            self.metrics.resumed_bytes += frontier;
-                            if self.trace_on {
-                                let done = tip
-                                    .manifest
-                                    .durable_chunks(frac)
-                                    .max(frontier / plan.chunk_bytes().max(1));
-                                self.tracer.record(
-                                    now.as_micros(),
-                                    &TraceRecord::ChunkDone {
-                                        task: t as u64,
-                                        node: node as u32,
-                                        chunk: done,
-                                        total: total_chunks,
-                                    },
-                                );
-                                self.tracer.record(
-                                    now.as_micros(),
-                                    &TraceRecord::ResumeDump {
-                                        task: t as u64,
-                                        node: node as u32,
-                                        resumed_bytes: frontier,
-                                        total_bytes: size.as_u64(),
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            let factor = self.device_factor(node, now).max(1.0);
-            let service = self.nodes[node]
-                .device
-                .spec()
-                .write_time(rewrite)
-                .mul_f64(factor);
-            let cores = self.tasks[t as usize].spec.resources.cores_f64();
-            self.metrics.retry_cpu_secs += service.as_secs_f64() * cores;
-            let start = now + backoff;
-            q.push(
-                start + service,
+        let factor = self.device_factor(node, now);
+        let resources = self.tasks[t as usize].spec.resources;
+        let retry = self.plane.on_dump_failed(
+            &mut *self.tracer,
+            now,
+            (handle_u64(t), node, epoch, attempt),
+            factor,
+            resources.cores_f64(),
+            resources.mem(),
+            &mut self.metrics.retry_cpu_secs,
+        );
+        match retry {
+            Some((start, end)) => q.push(
+                end,
                 Event::DumpDone {
                     task: t,
                     epoch,
                     started: start,
                 },
-            );
-        } else {
-            // Budget exhausted: the dump is abandoned for good.
-            self.metrics.dump_fail_kills += 1;
-            self.dump_attempts.remove(&t);
-            self.dump_frontier.remove(&t);
-            if let Some((origin, bytes)) = self.criu.abort_tip(handle_u64(t)) {
-                self.nodes[origin as usize].device.release(bytes);
+            ),
+            None => {
+                self.kill_dump_victim(t, node, now);
+                self.schedule_pass(now, q);
             }
-            if let Some(path) = self.tasks[t as usize].dfs_paths.pop() {
-                if let Some(dfs) = &mut self.dfs {
-                    let _ = dfs.delete(&path);
-                }
-            }
-            if self.trace_on {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::DumpFallback {
-                        task: t as u64,
-                        node: node as u32,
-                        reason: "dump-fail",
-                    },
-                );
-            }
-            self.kill_dump_victim(t, node, now);
-            self.schedule_pass(now, q);
         }
     }
 
@@ -2009,17 +1429,9 @@ impl ClusterSim {
         self.release_container(t, now);
         // Credit the drain to the blocked task it was serving: the kill
         // freed the resources the reservation was waiting for.
-        if let Some(owner) = self.drain_owner.remove(&t) {
-            if let Some(r) = self.reservations.get_mut(&owner) {
-                r.drains_left = r.drains_left.saturating_sub(1);
-            }
-        }
+        self.credit_drain(t);
         let has_image = self.has_checkpoint(t);
-        let origin = self
-            .criu
-            .chain(handle_u64(t))
-            .and_then(|c| c.tip())
-            .map(|r| r.origin_node);
+        let origin = self.plane.tip_origin(handle_u64(t));
         let task = &mut self.tasks[t as usize];
         task.epoch += 1;
         task.progress = task.checkpointed_progress;
@@ -2038,263 +1450,26 @@ impl ClusterSim {
         self.emit(now, t, TraceEventKind::Submit);
     }
 
-    /// Handles a restore attempt that failed (detected when its read
-    /// completes): transient failures retry from a surviving HDFS replica
-    /// on the same placement while budget remains; corrupt images and
-    /// exhausted budgets abandon the image and restart from scratch.
-    #[allow(clippy::too_many_arguments)]
-    fn on_restore_failed(
-        &mut self,
-        t: u32,
-        node: usize,
-        epoch: u32,
-        attempt: u32,
-        corrupt: bool,
-        started: SimTime,
-        now: SimTime,
-        q: &mut EventQueue<Event>,
-    ) {
-        let plan = self.faults.as_ref().expect("caller checked plan presence");
-        let will_retry = !corrupt && attempt < plan.max_restore_retries();
-        let reason = if corrupt {
-            "corrupt-image"
-        } else {
-            "transient"
-        };
-        self.observe_health(node, now, false);
-        // The failed read occupied CPU for its whole service window.
-        let cores = self.tasks[t as usize].spec.resources.cores_f64();
-        self.metrics.retry_cpu_secs += now.since(started).as_secs_f64() * cores;
-        if self.trace_on {
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::RestoreFail {
-                    task: t as u64,
-                    node: node as u32,
-                    attempt,
-                    reason,
-                    will_retry,
-                },
-            );
-        }
-        if will_retry {
-            self.metrics.restore_fail_retries += 1;
-            self.restore_attempts.insert(t, attempt + 1);
-            let factor = self.device_factor(node, now).max(1.0);
-            let service = self.restore_service(t, node).mul_f64(factor);
-            let size = self.criu.image_size(handle_u64(t));
-            let op = self.nodes[node]
-                .device
-                .submit_custom(now, OpKind::Read, size, service);
-            q.push(
-                op.end,
-                Event::RestoreDone {
-                    task: t,
-                    epoch,
-                    started: op.start,
-                },
-            );
-        } else {
-            self.metrics.scratch_restarts += 1;
-            if corrupt {
-                // Integrity loss forced this restart (legacy whole-image
-                // corruption path, i.e. the `resume=false` ablation).
-                self.metrics.integrity_scratch_restarts += 1;
-            }
-            self.restart_from_scratch(t, now);
-            self.schedule_pass(now, q);
-        }
-    }
-
-    /// Chunk-level validation of `t`'s chain after a restore read completed
-    /// (resume mode): every corrupt chunk first attempts a targeted
-    /// re-fetch from a DFS replica; an image that stays invalid cuts the
-    /// chain at its longest valid prefix (restore continues from the older
-    /// tip), and a chain with no valid prefix forces a scratch restart.
-    fn validate_restored_chain(
-        &mut self,
-        t: u32,
-        node: usize,
-        epoch: u32,
-        started: SimTime,
-        now: SimTime,
-        q: &mut EventQueue<Event>,
-    ) -> ChainValidation {
-        // Snapshot (image idx → corrupt chunks with lengths): the catalog
-        // is mutated during repair, so iterate over an owned copy.
-        let images: Vec<(usize, Vec<(u64, u64)>)> = match self.criu.chain(handle_u64(t)) {
-            Some(chain) => chain
-                .images()
-                .iter()
-                .enumerate()
-                .map(|(i, img)| {
-                    let bad = img
-                        .manifest
-                        .corrupt_chunks()
-                        .into_iter()
-                        .map(|c| (c, img.manifest.chunks[c as usize].len))
-                        .collect();
-                    (i, bad)
-                })
-                .collect(),
-            None => return ChainValidation::Intact,
-        };
-        if images.iter().all(|(_, bad)| bad.is_empty()) {
-            return ChainValidation::Intact;
-        }
-        let cores = self.tasks[t as usize].spec.resources.cores_f64();
-        let total = images.len();
-        let mut valid_prefix = total;
-        'walk: for (i, bad) in images {
-            for (chunk, len) in bad {
-                // A replica exists when the image was written through the
-                // DFS and its blocks are still readable.
-                let replica = match &self.dfs {
-                    Some(dfs) => self.tasks[t as usize]
-                        .dfs_paths
-                        .get(i)
-                        .is_some_and(|p| dfs.is_readable(p).unwrap_or(false)),
-                    None => false,
-                };
-                // Per-image × per-chunk key so refetch draws across chain
-                // images stay independent.
-                let ckey = ((i as u64) << 20) | chunk;
-                let ok = replica
-                    && !self
-                        .faults
-                        .as_ref()
-                        .expect("resume mode implies a plan")
-                        .chunk_refetch_fails(t as u64, epoch, ckey);
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::ChunkRefetch {
-                            task: t as u64,
-                            node: node as u32,
-                            chunk,
-                            ok,
-                        },
-                    );
-                }
-                if ok {
-                    self.criu.repair_chunk(handle_u64(t), i, chunk);
-                    self.metrics.chunk_refetches += 1;
-                    // The targeted re-read holds the container for the
-                    // chunk's transfer time: charge it as retry overhead.
-                    let reread = self.nodes[node]
-                        .device
-                        .spec()
-                        .read_time(ByteSize::from_bytes(len));
-                    self.metrics.retry_cpu_secs += reread.as_secs_f64() * cores;
-                } else {
-                    valid_prefix = i;
-                    break 'walk;
-                }
+    /// Credits a finished (or abandoned) drain of victim `v` to the
+    /// blocked task it was serving.
+    fn credit_drain(&mut self, v: u32) {
+        if let Some(owner) = self.drain_owner.remove(&v) {
+            if let Some(r) = self.reservations.get_mut(&owner) {
+                r.drains_left = r.drains_left.saturating_sub(1);
             }
         }
-        if valid_prefix == total {
-            // Every corrupt chunk was repaired in place: the restore holds.
-            return ChainValidation::Intact;
-        }
-        // The read past the prefix was wasted work.
-        let attempt = self.restore_attempts.get(&t).copied().unwrap_or(0);
-        self.metrics.retry_cpu_secs += now.since(started).as_secs_f64() * cores;
-        self.observe_health(node, now, false);
-        if valid_prefix == 0 {
-            if self.trace_on {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::RestoreFail {
-                        task: t as u64,
-                        node: node as u32,
-                        attempt,
-                        reason: "corrupt-image",
-                        will_retry: false,
-                    },
-                );
-            }
-            self.metrics.scratch_restarts += 1;
-            self.metrics.integrity_scratch_restarts += 1;
-            self.restart_from_scratch(t, now);
-            return ChainValidation::Dead;
-        }
-        // Truncate to the longest valid prefix and restore from the older
-        // tip instead of losing the whole chain.
-        let dropped = (total - valid_prefix) as u64;
-        for (origin, bytes) in self.criu.truncate_chain(handle_u64(t), valid_prefix) {
-            self.nodes[origin as usize].device.release(bytes);
-        }
-        while self.tasks[t as usize].dfs_paths.len() > valid_prefix {
-            let path = self.tasks[t as usize]
-                .dfs_paths
-                .pop()
-                .expect("length checked");
-            if let Some(dfs) = &mut self.dfs {
-                let _ = dfs.delete(&path);
-            }
-        }
-        self.metrics.chain_truncations += 1;
-        if self.trace_on {
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::ChainTruncate {
-                    task: t as u64,
-                    node: node as u32,
-                    dropped,
-                    kept: valid_prefix as u64,
-                },
-            );
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::RestoreFail {
-                    task: t as u64,
-                    node: node as u32,
-                    attempt,
-                    reason: "corrupt-image",
-                    will_retry: true,
-                },
-            );
-        }
-        // Roll progress back to what the surviving tip certifies.
-        let stamp = self
-            .criu
-            .chain(handle_u64(t))
-            .and_then(|c| c.tip())
-            .map(|r| r.progress)
-            .unwrap_or(0);
-        let task = &mut self.tasks[t as usize];
-        task.checkpointed_progress = SimDuration::from_micros(stamp);
-        task.progress = task.checkpointed_progress;
-        // Re-read the truncated chain in place (same node, same episode).
-        // The strictly shrinking chain bounds this loop without consuming
-        // the transient-retry budget.
-        let factor = self.device_factor(node, now).max(1.0);
-        let service = self.restore_service(t, node).mul_f64(factor);
-        let size = self.criu.image_size(handle_u64(t));
-        let op = self.nodes[node]
-            .device
-            .submit_custom(now, OpKind::Read, size, service);
-        q.push(
-            op.end,
-            Event::RestoreDone {
-                task: t,
-                epoch,
-                started: op.start,
-            },
-        );
-        ChainValidation::Truncated
     }
 
     /// Abandons task `t`'s image for good: the checkpointed progress is
     /// re-execution waste, the chain is discarded, and the task re-queues
     /// as a fresh start.
     fn restart_from_scratch(&mut self, t: u32, now: SimTime) {
+        self.metrics.scratch_restarts += 1;
         let cores = self.tasks[t as usize].spec.resources.cores_f64();
         let lost = self.tasks[t as usize].checkpointed_progress;
         self.metrics.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
         self.release_container(t, now);
-        self.discard_chain(t);
-        self.restore_attempts.remove(&t);
+        self.plane.discard_chain(handle_u64(t));
         let task = &mut self.tasks[t as usize];
         task.epoch += 1;
         task.progress = SimDuration::ZERO;
@@ -2314,70 +1489,48 @@ impl ClusterSim {
     /// used next.
     fn drop_lost_chain(&mut self, t: u32, now: SimTime) {
         self.metrics.images_lost_to_failures += 1;
+        let key = handle_u64(t);
         match self.tasks[t as usize].status {
             TaskStatus::Restoring { node, .. } => {
                 // The in-flight read can no longer complete: abandon it
                 // and restart from scratch (the epoch bump staled the
                 // queued RestoreDone).
                 if self.trace_on {
-                    let attempt = self.restore_attempts.get(&t).copied().unwrap_or(0);
                     self.tracer.record(
                         now.as_micros(),
                         &TraceRecord::RestoreFail {
-                            task: t as u64,
+                            task: key,
                             node,
-                            attempt,
+                            attempt: self.plane.restore_attempt(key),
                             reason: "blocks-lost",
                             will_retry: false,
                         },
                     );
                 }
-                self.metrics.scratch_restarts += 1;
                 self.restart_from_scratch(t, now);
             }
             TaskStatus::Dumping { node, .. } => {
                 // The tip being written sat below lost ancestor blocks:
                 // the whole chain is useless. Abort the write and fall
                 // back to the hard kill (the epoch bump stales DumpDone).
-                if let Some((origin, bytes)) = self.criu.abort_tip(handle_u64(t)) {
-                    self.nodes[origin as usize].device.release(bytes);
-                }
-                if let Some(path) = self.tasks[t as usize].dfs_paths.pop() {
-                    if let Some(dfs) = &mut self.dfs {
-                        let _ = dfs.delete(&path);
-                    }
-                }
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::DumpFallback {
-                            task: t as u64,
-                            node,
-                            reason: "node-fail",
-                        },
-                    );
-                }
-                self.discard_chain(t);
+                self.plane.abort_dump(
+                    &mut *self.tracer,
+                    now,
+                    key,
+                    node as usize,
+                    "node-fail",
+                    true,
+                );
+                self.plane.discard_chain(key);
                 self.tasks[t as usize].checkpointed_progress = SimDuration::ZERO;
-                self.dump_attempts.remove(&t);
-                self.dump_frontier.remove(&t);
                 self.kill_dump_victim(t, node as usize, now);
             }
             _ => {
                 // Running, or queued (fresh or from the now-lost image):
                 // silently lose the chain; the next dump must be full and
                 // a queued restore degrades to a fresh start.
-                self.discard_chain(t);
-                let task = &mut self.tasks[t as usize];
-                task.checkpointed_progress = SimDuration::ZERO;
-                if let Some(mem) = task.memory.as_mut() {
-                    mem.mark_all_dirty();
-                }
-                if matches!(task.status, TaskStatus::Checkpointed { .. }) {
-                    // Still queued under its existing key; only the
-                    // resume mode changes.
-                    task.status = TaskStatus::Pending;
-                }
+                self.plane.discard_chain(key);
+                drop_checkpoint(&mut self.tasks[t as usize]);
             }
         }
     }
@@ -2414,45 +1567,21 @@ impl ClusterSim {
             );
         }
         self.release_container(t, now);
-        // An in-flight dump died with the node: abort its half-written tip.
+        let key = handle_u64(t);
+        // An in-flight dump died with the node: abort its half-written tip
+        // and close the dangling DumpStart span (the epoch bump below
+        // makes the queued DumpDone stale). The aborted write's DFS entry
+        // is deleted, not just forgotten: the next dump of this task
+        // would collide with a dangling path.
         if matches!(self.tasks[t as usize].status, TaskStatus::Dumping { .. }) {
-            // Close the dangling DumpStart span: the epoch bump below makes
-            // the queued DumpDone stale, so without this record the trace
-            // would show a dump that never terminates.
-            if self.trace_on {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::DumpFallback {
-                        task: t as u64,
-                        node: node as u32,
-                        reason,
-                    },
-                );
-            }
-            if let Some((origin, bytes)) = self.criu.abort_tip(handle_u64(t)) {
-                self.nodes[origin as usize].device.release(bytes);
-            }
-            // Delete (not just pop) the aborted write's DFS entry: leaving
-            // it behind leaked namespace and replica space, and the next
-            // dump of this task would collide with the dangling path.
-            if let Some(path) = self.tasks[t as usize].dfs_paths.pop() {
-                if let Some(dfs) = &mut self.dfs {
-                    let _ = dfs.delete(&path);
-                }
-            }
-            if let Some(owner) = self.drain_owner.remove(&t) {
-                if let Some(r) = self.reservations.get_mut(&owner) {
-                    r.drains_left = r.drains_left.saturating_sub(1);
-                }
-            }
+            self.plane
+                .abort_dump(&mut *self.tracer, now, key, node, reason, true);
+            self.credit_drain(t);
         }
 
         // Local-FS images stored on the failed node are gone; HDFS
         // replication keeps DFS-backed chains readable.
-        if self.dfs.is_none() && self.criu.has_image_on(handle_u64(t), node as u32) {
-            for (origin, bytes) in self.criu.discard(handle_u64(t)) {
-                self.nodes[origin as usize].device.release(bytes);
-            }
+        if self.plane.lose_local_images(key, node) {
             self.metrics.images_lost_to_failures += 1;
             self.tasks[t as usize].checkpointed_progress = SimDuration::ZERO;
         }
@@ -2465,21 +1594,10 @@ impl ClusterSim {
             self.tasks[t as usize].checkpointed_progress = SimDuration::ZERO;
         }
         // The node failure ends any in-flight dump/restore episode.
-        if self.faults.is_some() {
-            self.dump_attempts.remove(&t);
-            self.dump_frontier.remove(&t);
-            self.restore_attempts.remove(&t);
-        }
+        self.plane.end_episodes(key);
 
         let has_image = self.has_checkpoint(t);
-        let origin = if self.cfg.nvram.is_some() {
-            self.nvram_origin.get(&t).copied()
-        } else {
-            self.criu
-                .chain(handle_u64(t))
-                .and_then(|c| c.tip())
-                .map(|r| r.origin_node)
-        };
+        let origin = self.checkpoint_origin(t);
         let task = &mut self.tasks[t as usize];
         task.epoch += 1;
         task.progress = task.checkpointed_progress;
@@ -2528,41 +1646,8 @@ impl ClusterSim {
         // The node's datanode died with it: the NameNode re-replicates
         // every block that lost a replica onto the surviving datanodes
         // (blocks whose only replica lived here are lost for good).
-        let mut lost_chains: Vec<u32> = Vec::new();
-        if let Some(dfs) = &mut self.dfs {
-            if let Ok(repair) = dfs.fail_datanode(DnId(node as u32)) {
-                if self.trace_on && (repair.blocks_repaired > 0 || repair.blocks_lost > 0) {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::ReplicationRepair {
-                            node: node as u32,
-                            blocks: repair.blocks_repaired as u64,
-                            bytes: repair.bytes_copied.as_u64(),
-                        },
-                    );
-                }
-                self.metrics.dfs_blocks_repaired += repair.blocks_repaired as u64;
-                self.metrics.dfs_repair_bytes += repair.bytes_copied.as_u64();
-                self.metrics.dfs_blocks_lost += repair.blocks_lost as u64;
-                if repair.blocks_lost > 0 {
-                    // Some image chains just became unreadable; find them.
-                    for (t, task) in self.tasks.iter().enumerate() {
-                        if task.dfs_paths.is_empty() {
-                            continue;
-                        }
-                        let broken = task
-                            .dfs_paths
-                            .iter()
-                            .any(|p| !dfs.is_readable(p).unwrap_or(true));
-                        if broken {
-                            lost_chains.push(t as u32);
-                        }
-                    }
-                }
-            }
-        }
-        for t in lost_chains {
-            self.drop_lost_chain(t, now);
+        for key in self.plane.fail_datanode(&mut *self.tracer, now, node) {
+            self.drop_lost_chain(key as u32, now);
         }
         // Any reservation earmarked on the failed node is void.
         let voided: Vec<u32> = self
@@ -2674,7 +1759,7 @@ impl Simulation for ClusterSim {
         }
         self.dispatch(now, event, q);
         #[cfg(debug_assertions)]
-        self.assert_image_conservation(now);
+        self.plane.assert_image_conservation(now);
         let depth = self.pending.len();
         if self.trace_on && depth != self.last_queue_depth {
             self.tracer.record(
@@ -2757,17 +1842,10 @@ impl ClusterSim {
                 self.tasks[task as usize].finished_at = Some(now);
 
                 // Drop checkpoint images / NVRAM mirrors.
-                for (origin, bytes) in self.criu.discard(handle_u64(task)) {
-                    self.nodes[origin as usize].device.release(bytes);
-                }
+                self.plane.discard_chain(handle_u64(task));
                 if let Some(origin) = self.nvram_origin.remove(&task) {
                     if let Some(engine) = self.nodes[origin as usize].nvram.as_mut() {
                         engine.discard(handle_u64(task));
-                    }
-                }
-                if let Some(dfs) = &mut self.dfs {
-                    for path in std::mem::take(&mut self.tasks[task as usize].dfs_paths) {
-                        let _ = dfs.delete(&path);
                     }
                 }
 
@@ -2792,90 +1870,39 @@ impl ClusterSim {
                 let TaskStatus::Dumping { node, .. } = self.tasks[task as usize].status else {
                     return;
                 };
-                self.nodes[node as usize].device.on_advance(now);
+                let key = handle_u64(task);
+                self.plane.on_advance(node as usize, now);
                 // Deterministic fault check: did this dump attempt fail?
                 // (NVRAM suspends are memory copies; they do not take the
                 // storage fault path.)
                 if self.cfg.nvram.is_none() {
-                    if let Some(plan) = &self.faults {
-                        let attempt = self.dump_attempts.get(&task).copied().unwrap_or(0);
-                        if plan.dump_fails(task as u64, epoch, attempt) {
-                            self.on_dump_failed(task, node as usize, epoch, attempt, now, q);
-                            return;
-                        }
+                    if let Some(attempt) = self.plane.dump_attempt_failed(key, epoch) {
+                        self.on_dump_failed(task, node as usize, epoch, attempt, now, q);
+                        return;
                     }
                 }
-                self.observe_health(node as usize, now, true);
                 self.release_container(task, now);
                 // Overhead was charged at dump submission; `started` only
-                // feeds the trace record.
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::DumpDone {
-                            task: task as u64,
-                            node,
-                            start_us: started.as_micros(),
-                        },
-                    );
+                // feeds the trace record. The tip is stamped with the
+                // progress it certifies, so a later chain truncation rolls
+                // the task back to exactly that.
+                let progress = self.tasks[task as usize].progress;
+                self.plane.dump_done(
+                    &mut *self.tracer,
+                    now,
+                    key,
+                    node as usize,
+                    epoch,
+                    started,
+                    progress.as_micros(),
+                );
+                if self.cfg.nvram.is_none() {
+                    self.plane.draw_image_corruption(key, epoch);
                 }
                 let task_state = &mut self.tasks[task as usize];
-                task_state.checkpointed_progress = task_state.progress;
+                task_state.checkpointed_progress = progress;
                 task_state.status = TaskStatus::Checkpointed { origin: node };
-                let stamp = task_state.checkpointed_progress.as_micros();
-                // Stamp the tip with the progress it certifies, so a later
-                // chain truncation can roll the task back to exactly the
-                // progress its surviving tip guarantees.
-                self.criu.set_tip_progress(handle_u64(task), stamp);
-                // Corruption is decided once per image. With chunked resume
-                // the draw is per *chunk* and lands in the tip's manifest
-                // (repairable at restore time); the legacy whole-image draw
-                // remains for the `resume=false` ablation, where every
-                // later restore of the poisoned image fails.
-                if let Some(plan) = &self.faults {
-                    self.dump_attempts.remove(&task);
-                    self.dump_frontier.remove(&task);
-                    if self.cfg.nvram.is_none() {
-                        if plan.resume_enabled() {
-                            let hit: Vec<(u64, u64)> = self
-                                .criu
-                                .chain(handle_u64(task))
-                                .and_then(|c| c.tip())
-                                .map(|tip| {
-                                    let n = tip.manifest.chunk_count();
-                                    (0..n)
-                                        .filter(|&c| plan.chunk_corrupt(task as u64, epoch, c, n))
-                                        .map(|c| (c, tip.id.0))
-                                        .collect()
-                                })
-                                .unwrap_or_default();
-                            for &(chunk, image) in &hit {
-                                self.criu.mark_tip_chunk_corrupt(handle_u64(task), chunk);
-                                if self.trace_on {
-                                    self.tracer.record(
-                                        now.as_micros(),
-                                        &TraceRecord::ChunkCorrupt {
-                                            task: task as u64,
-                                            node,
-                                            image,
-                                            chunk,
-                                        },
-                                    );
-                                }
-                            }
-                        } else if plan.image_corrupt(task as u64, epoch) {
-                            self.corrupt_images.insert(task);
-                        } else {
-                            self.corrupt_images.remove(&task);
-                        }
-                    }
-                }
-                // Credit the drain to the blocked task it was serving.
-                if let Some(owner) = self.drain_owner.remove(&task) {
-                    if let Some(r) = self.reservations.get_mut(&owner) {
-                        r.drains_left = r.drains_left.saturating_sub(1);
-                    }
-                }
+                self.credit_drain(task);
                 self.enqueue_pending_preserving_status(task);
                 self.emit(now, task, TraceEventKind::Submit);
                 self.schedule_pass(now, q);
@@ -2888,7 +1915,9 @@ impl ClusterSim {
                 // One stateless oracle evaluation per window: which nodes
                 // crash in the window starting now?
                 let (window, downtime, crashed) = {
-                    let Some(plan) = &self.faults else { return };
+                    let Some(plan) = self.plane.plan() else {
+                        return;
+                    };
                     let Some(c) = plan.crash() else { return };
                     let widx = now.as_micros() / c.window.as_micros().max(1);
                     let crashed: Vec<usize> = (0..self.nodes.len())
@@ -2910,65 +1939,18 @@ impl ClusterSim {
                 self.schedule_pass(now, q);
             }
             Event::ChaosPartitionTick => {
-                let (window, next) = {
-                    let Some(plan) = &self.faults else { return };
-                    let Some(p) = plan.partition() else { return };
-                    let widx = now.as_micros() / p.window.as_micros().max(1);
-                    let racks = match self.nodes.len() {
-                        0 => 0,
-                        n => plan.rack_of(n as u32 - 1) + 1,
-                    };
-                    (p.window, plan.partition_isolates(widx, racks))
-                };
-                if next != self.active_partition {
-                    if self.trace_on {
-                        if let Some(rack) = self.active_partition {
-                            self.tracer
-                                .record(now.as_micros(), &TraceRecord::PartitionEnd { rack });
-                        }
-                        if let Some(rack) = next {
-                            self.tracer
-                                .record(now.as_micros(), &TraceRecord::PartitionStart { rack });
-                        }
-                    }
-                    self.active_partition = next;
-                }
-                if !self.job_remaining.iter().all(|&r| r == 0) {
+                let drained = self.job_remaining.iter().all(|&r| r == 0);
+                if let Some(window) = self.plane.partition_tick(&mut *self.tracer, now, drained) {
                     q.push(now + window, Event::ChaosPartitionTick);
-                } else if let Some(rack) = self.active_partition.take() {
-                    // Heal the partition when the schedule winds down so
-                    // the trace's start/end events tile.
-                    if self.trace_on {
-                        self.tracer
-                            .record(now.as_micros(), &TraceRecord::PartitionEnd { rack });
-                    }
                 }
             }
             Event::PressureTick => {
-                let Some((window, leak_bytes, leaking)) = self.faults.as_ref().and_then(|plan| {
-                    plan.pressure().map(|p| {
-                        let widx = now.as_micros() / p.window.as_micros().max(1);
-                        let leaking: Vec<usize> = (0..self.nodes.len())
-                            .filter(|&i| self.nodes[i].up && plan.leaks(i as u32, widx))
-                            .collect();
-                        (p.window, p.leak_bytes, leaking)
-                    })
-                }) else {
+                // Orphaned dump directories reserve device bytes no image
+                // owns (simulating an NM that forgets to clean up).
+                let nodes = &self.nodes;
+                let Some(window) = self.plane.inject_leaks(now, |i| nodes[i].up) else {
                     return;
                 };
-                for i in leaking {
-                    // A leak can only orphan bytes the device actually has;
-                    // a full device leaks nothing this window.
-                    let amount = leak_bytes.min(self.nodes[i].device.free_capacity());
-                    if amount.is_zero() {
-                        continue;
-                    }
-                    self.nodes[i]
-                        .device
-                        .reserve(amount)
-                        .expect("leak amount clamped to free capacity");
-                    self.leaked[i] += amount.as_u64();
-                }
                 // Stop ticking once the workload drained, else the tick
                 // chain keeps the run alive forever.
                 if !self.job_remaining.iter().all(|&r| r == 0) {
@@ -2980,11 +1962,9 @@ impl ClusterSim {
                     return; // stale (never expected, but harmless)
                 }
                 self.nodes[node as usize].up = true;
-                if let Some(dfs) = &mut self.dfs {
-                    // Re-registration: the datanode rejoins empty (its
-                    // blocks were re-replicated or lost at crash time).
-                    let _ = dfs.recover_datanode(DnId(node));
-                }
+                // Re-registration: the datanode rejoins empty (its blocks
+                // were re-replicated or lost at crash time).
+                self.plane.recover_datanode(node as usize);
                 if self.trace_on {
                     self.tracer
                         .record(now.as_micros(), &TraceRecord::NodeUp { node });
@@ -2993,11 +1973,9 @@ impl ClusterSim {
             }
             Event::NodeRecover(node) => {
                 self.nodes[node as usize].up = true;
-                if let Some(dfs) = &mut self.dfs {
-                    // The datanode rejoins empty (its blocks were already
-                    // re-replicated or lost at failure time).
-                    let _ = dfs.recover_datanode(DnId(node));
-                }
+                // The datanode rejoins empty (its blocks were already
+                // re-replicated or lost at failure time).
+                self.plane.recover_datanode(node as usize);
                 if self.trace_on {
                     self.tracer
                         .record(now.as_micros(), &TraceRecord::NodeRecover { node });
@@ -3017,60 +1995,82 @@ impl ClusterSim {
                 else {
                     return;
                 };
-                self.nodes[node as usize].device.on_advance(now);
+                let (key, at) = (handle_u64(task), node as usize);
+                self.plane.on_advance(at, now);
+                let cores = self.tasks[task as usize].spec.resources.cores_f64();
+                let factor = self.device_factor(at, now);
                 // Chunk-level integrity validation first (resume mode):
                 // corrupt chunks re-fetch from replicas, unrepairable
-                // images truncate the chain to its longest valid prefix,
-                // and an empty prefix scratch-restarts.
-                if self.cfg.nvram.is_none()
-                    && self.faults.as_ref().is_some_and(|p| p.resume_enabled())
-                {
-                    match self.validate_restored_chain(task, node as usize, epoch, started, now, q)
-                    {
-                        ChainValidation::Intact => {}
-                        ChainValidation::Truncated => return,
-                        ChainValidation::Dead => {
-                            self.schedule_pass(now, q);
-                            return;
-                        }
-                    }
-                }
-                // Deterministic fault check: did this restore attempt
-                // fail (transiently, or because the image is corrupt)?
-                if self.cfg.nvram.is_none() {
-                    if let Some(plan) = &self.faults {
-                        let attempt = self.restore_attempts.get(&task).copied().unwrap_or(0);
-                        let corrupt = self.corrupt_images.contains(&task);
-                        if corrupt || plan.restore_fails(task as u64, epoch, attempt) {
-                            self.on_restore_failed(
+                // images truncate the chain to its longest valid prefix
+                // (rolling progress back to the surviving tip), and an
+                // empty prefix scratch-restarts.
+                match self.plane.validate_restored_chain(
+                    &mut *self.tracer,
+                    now,
+                    (key, at, epoch),
+                    started,
+                    cores,
+                    factor,
+                    &mut self.metrics.retry_cpu_secs,
+                ) {
+                    Validation::Intact => {}
+                    Validation::Truncated { progress_us, op } => {
+                        let task_state = &mut self.tasks[task as usize];
+                        task_state.checkpointed_progress = SimDuration::from_micros(progress_us);
+                        task_state.progress = task_state.checkpointed_progress;
+                        q.push(
+                            op.end,
+                            Event::RestoreDone {
                                 task,
-                                node as usize,
                                 epoch,
-                                attempt,
-                                corrupt,
-                                started,
-                                now,
-                                q,
-                            );
-                            return;
-                        }
+                                started: op.start,
+                            },
+                        );
+                        return;
+                    }
+                    Validation::Dead => {
+                        self.restart_from_scratch(task, now);
+                        self.schedule_pass(now, q);
+                        return;
                     }
                 }
-                if self.faults.is_some() {
-                    self.restore_attempts.remove(&task);
-                }
-                self.observe_health(node as usize, now, true);
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::RestoreDone {
-                            task: task as u64,
-                            node,
-                            start_us: started.as_micros(),
-                        },
+                // Deterministic fault check: did this restore attempt fail
+                // (transiently, or because the image is corrupt)? Transient
+                // failures retry from a surviving replica on the same
+                // placement; corrupt images and exhausted budgets restart
+                // from scratch.
+                let failed = match self.cfg.nvram {
+                    Some(_) => None,
+                    None => self.plane.restore_attempt_failed(key, epoch),
+                };
+                if let Some((attempt, corrupt)) = failed {
+                    let retry = self.plane.on_restore_failed(
+                        &mut *self.tracer,
+                        now,
+                        (key, at, attempt, corrupt),
+                        started,
+                        cores,
+                        factor,
+                        &mut self.metrics.retry_cpu_secs,
                     );
+                    match retry {
+                        Some(op) => q.push(
+                            op.end,
+                            Event::RestoreDone {
+                                task,
+                                epoch,
+                                started: op.start,
+                            },
+                        ),
+                        None => {
+                            self.restart_from_scratch(task, now);
+                            self.schedule_pass(now, q);
+                        }
+                    }
+                    return;
                 }
-                let cores = self.tasks[task as usize].spec.resources.cores_f64();
+                self.plane
+                    .restore_done(&mut *self.tracer, now, key, at, started);
                 // The remote flag was already recorded at placement time.
                 self.metrics
                     .charge_restore(now.since(started), cores, false);
@@ -3086,15 +2086,6 @@ impl ClusterSim {
                 q.push(finish, Event::TaskFinish { task, epoch });
             }
         }
-    }
-}
-
-fn mean(iter: impl Iterator<Item = f64>) -> f64 {
-    let (sum, n) = iter.fold((0.0, 0usize), |(s, n), x| (s + x, n + 1));
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
     }
 }
 

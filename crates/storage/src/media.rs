@@ -29,6 +29,16 @@ impl MediaKind {
             MediaKind::Nvm => MediaSpec::nvm(),
         }
     }
+
+    /// Short stable lowercase name (`"hdd"`, `"ssd"`, `"nvm"`), as trace
+    /// records spell the checkpoint device.
+    pub fn name(self) -> &'static str {
+        match self {
+            MediaKind::Hdd => "hdd",
+            MediaKind::Ssd => "ssd",
+            MediaKind::Nvm => "nvm",
+        }
+    }
 }
 
 impl fmt::Display for MediaKind {

@@ -1,15 +1,15 @@
 //! The YARN protocol simulation.
 
-use cbp_checkpoint::{plan_evictions, Criu, EvictionCandidate};
+use cbp_checkpoint::{CheckpointPlane, Criu, TaskView, Validation};
 use cbp_cluster::{Container, ContainerId, EnergyMeter, Node, NodeId};
 use cbp_core::PreemptionPolicy;
 use cbp_core::TelemetryReport;
-use cbp_dfs::{DfsCluster, DnId};
-use cbp_faults::{BreakerTransition, FaultPlan, HealthMonitor};
+use cbp_dfs::DfsCluster;
+use cbp_faults::FaultPlan;
 use cbp_simkit::stats::Samples;
-use cbp_simkit::units::ByteSize;
-use cbp_simkit::{run_until_observed, EventQueue, RunStats, SimRng, SimTime, Simulation};
-use cbp_storage::{Device, MediaKind, OpKind};
+use cbp_simkit::{
+    run_until_observed, EventQueue, RunStats, SimDuration, SimRng, SimTime, Simulation,
+};
 use cbp_telemetry::{
     MetricsRegistry, NullTracer, PreemptAction, StreamingQuantiles, TraceRecord, Tracer,
 };
@@ -20,7 +20,8 @@ use std::collections::HashMap;
 use cbp_workload::JobId;
 
 use crate::components::{
-    preemption_decision, AmTaskStatus, AppMaster, PreemptDecision, QueueKind, ResourceManager,
+    preemption_decision, AmTask, AmTaskStatus, AppMaster, PreemptDecision, QueueKind,
+    ResourceManager,
 };
 use crate::config::YarnConfig;
 use crate::report::YarnReport;
@@ -109,19 +110,9 @@ pub enum YarnEvent {
 
 struct NodeManager {
     node: Node,
-    device: Device,
     meter: EnergyMeter,
     /// False while a chaos-plan crash holds the node (and its NM) down.
     up: bool,
-}
-
-/// Short stable device name for trace records.
-fn media_name(kind: MediaKind) -> &'static str {
-    match kind {
-        MediaKind::Hdd => "hdd",
-        MediaKind::Ssd => "ssd",
-        MediaKind::Nvm => "nvm",
-    }
 }
 
 /// The YARN cluster simulation (see the [crate docs](crate) for the
@@ -132,8 +123,8 @@ pub struct YarnSim {
     nms: Vec<NodeManager>,
     rm: ResourceManager,
     apps: Vec<AppMaster>,
-    criu: Criu,
-    dfs: DfsCluster,
+    /// NM checkpoint stores, HDFS, recovery ladders and fault plan.
+    plane: CheckpointPlane,
     /// MapReduce phase barriers per job (empty for single-phase workloads).
     barriers: HashMap<JobId, u32>,
     next_container: u64,
@@ -144,20 +135,9 @@ pub struct YarnSim {
     restores: u64,
     remote_restores: u64,
     capacity_fallbacks: u64,
-    gc_reclaimed_bytes: u64,
-    evicted_chains: u64,
-    spill_dumps: u64,
-    no_space_kills: u64,
     force_kills: u64,
     am_escalations: u64,
-    dump_fail_kills: u64,
     crash_evictions: u64,
-    breaker_open_kills: u64,
-    resumed_dumps: u64,
-    resumed_bytes: u64,
-    chunk_refetches: u64,
-    chain_truncations: u64,
-    integrity_scratch_restarts: u64,
     kill_lost_cpu_secs: f64,
     dump_overhead_cpu_secs: f64,
     restore_overhead_cpu_secs: f64,
@@ -169,44 +149,65 @@ pub struct YarnSim {
     tracer: Box<dyn Tracer>,
     /// Cached `tracer.enabled()` so the disabled path costs one branch.
     trace_on: bool,
-    /// Deterministic fault oracle (absent when injection is off). Every
-    /// decision is a pure hash of (plan seed, identity), so an inert
-    /// plan perturbs nothing and the same plan replays identically.
-    faults: Option<FaultPlan>,
-    /// Checkpoint-path circuit breakers (absent unless the plan
-    /// configures a [`cbp_faults::BreakerSpec`]).
-    health: Option<HealthMonitor>,
-    /// The rack currently isolated by the chaos partition oracle.
-    active_partition: Option<u32>,
     /// Total container count of the workload — the chaos tick chains
     /// stop once `tasks_finished` reaches it so they cannot keep an
     /// otherwise-drained run alive.
     total_tasks: u64,
-    /// Leaked reservation bytes per node, injected by the pressure plan.
-    /// The image-ledger conservation invariant is
-    /// `device.used == criu live bytes + leaked` on every node.
-    leaked: Vec<u64>,
-    /// Dump retry attempt counts per task key (absent = first attempt).
-    dump_attempts: HashMap<u64, u32>,
-    /// Chunked-resume frontier per task key: bytes of the in-flight dump
-    /// already durable. Monotone within a dump episode so a later retry
-    /// never re-pays chunks an earlier attempt landed.
-    dump_frontier: HashMap<u64, u64>,
-}
-
-/// Outcome of post-restore chunk validation (chunked-resume mode).
-enum ChainValidation {
-    /// Every chunk verified (possibly after in-place replica repairs).
-    Intact,
-    /// The chain was cut to its longest valid prefix; a re-read of the
-    /// truncated chain is already in flight.
-    Truncated,
-    /// No valid prefix survived; the task was restarted from scratch.
-    Dead,
 }
 
 fn task_key(app: u32, task: u32) -> u64 {
     ((app as u64) << 32) | task as u64
+}
+
+/// The plane's view of the YARN cluster's tasks and NodeManagers.
+struct View<'a> {
+    apps: &'a mut [AppMaster],
+    nms: &'a [NodeManager],
+}
+
+impl View<'_> {
+    fn task(&self, key: u64) -> &AmTask {
+        &self.apps[(key >> 32) as usize].tasks[key as u32 as usize]
+    }
+}
+
+impl TaskView for View<'_> {
+    fn node_up(&self, node: usize) -> bool {
+        self.nms[node].up
+    }
+
+    fn in_episode(&self, key: u64) -> bool {
+        matches!(
+            self.task(key).status,
+            AmTaskStatus::Dumping { .. } | AmTaskStatus::Restoring { .. }
+        )
+    }
+
+    fn chain_value(&self, key: u64) -> f64 {
+        let t = self.task(key);
+        t.checkpointed_progress.as_secs_f64() * t.spec.resources.cores_f64()
+    }
+
+    fn chain_dropped(&mut self, key: u64) {
+        drop_checkpoint(&mut self.apps[(key >> 32) as usize].tasks[key as u32 as usize]);
+    }
+}
+
+/// Degrades a task whose chain is gone: the next dump must be full, and a
+/// task queued on the image restarts from scratch in place (it already
+/// sits in the launch queue).
+fn drop_checkpoint(t: &mut AmTask) {
+    t.checkpointed_progress = SimDuration::ZERO;
+    if let Some(mem) = t.memory.as_mut() {
+        mem.mark_all_dirty();
+    }
+    if matches!(
+        t.status,
+        AmTaskStatus::Waiting | AmTaskStatus::Suspended { .. }
+    ) {
+        t.progress = SimDuration::ZERO;
+        t.status = AmTaskStatus::Waiting;
+    }
 }
 
 impl YarnSim {
@@ -218,20 +219,9 @@ impl YarnSim {
             .clone()
             .filter(|spec| !spec.is_inert())
             .map(FaultPlan::new);
-        // The pressure plan shrinks every NM's checkpoint store. HDFS
-        // datanodes keep the medium's natural capacity: pressure models
-        // NM-local store exhaustion, and shrinking the DFS as well would
-        // perturb block placement in every non-pressure scenario too.
-        let frac = faults.as_ref().map_or(1.0, |p| p.capacity_frac());
-        let media = if frac < 1.0 {
-            cfg.media.with_capacity(cfg.media.capacity().mul_f64(frac))
-        } else {
-            cfg.media
-        };
         let nms = (0..cfg.nodes)
             .map(|i| NodeManager {
                 node: Node::new(NodeId(i as u32), cfg.node_resources),
-                device: Device::new(media),
                 meter: EnergyMeter::new(cfg.energy),
                 up: true,
             })
@@ -252,28 +242,27 @@ impl YarnSim {
             })
             .unwrap_or(1);
         let total_slots = per_node * cfg.nodes as u32;
-        let health = faults
-            .as_ref()
-            .and_then(|p| p.breaker())
-            .map(|spec| HealthMonitor::new(*spec, cfg.nodes));
         let total_tasks = workload.jobs().iter().map(|j| j.tasks.len() as u64).sum();
-        let mut criu = Criu::new(cfg.incremental);
-        if let Some(plan) = &faults {
-            criu = criu.with_chunk_bytes(plan.chunk_bytes());
-        }
+        // The pressure plan shrinks every NM's checkpoint store. HDFS
+        // datanodes keep the medium's natural capacity: pressure models
+        // NM-local store exhaustion, and shrinking the DFS as well would
+        // perturb block placement in every non-pressure scenario too.
+        let plane = CheckpointPlane::new(
+            Criu::new(cfg.incremental),
+            cfg.media,
+            cfg.nodes,
+            faults,
+            Some(dfs),
+            cfg.lifecycle,
+        );
 
         YarnSim {
-            faults,
-            health,
-            active_partition: None,
             total_tasks,
             rm: ResourceManager::new(),
             apps: Vec::with_capacity(workload.job_count()),
-            criu,
-            dfs,
+            plane,
             barriers: HashMap::new(),
             nms,
-            leaked: vec![0; cfg.nodes],
             cfg,
             workload,
             next_container: 1,
@@ -283,22 +272,9 @@ impl YarnSim {
             restores: 0,
             remote_restores: 0,
             capacity_fallbacks: 0,
-            gc_reclaimed_bytes: 0,
-            evicted_chains: 0,
-            spill_dumps: 0,
-            no_space_kills: 0,
             force_kills: 0,
             am_escalations: 0,
-            dump_fail_kills: 0,
             crash_evictions: 0,
-            breaker_open_kills: 0,
-            resumed_dumps: 0,
-            resumed_bytes: 0,
-            chunk_refetches: 0,
-            chain_truncations: 0,
-            integrity_scratch_restarts: 0,
-            dump_attempts: HashMap::new(),
-            dump_frontier: HashMap::new(),
             kill_lost_cpu_secs: 0.0,
             dump_overhead_cpu_secs: 0.0,
             restore_overhead_cpu_secs: 0.0,
@@ -341,7 +317,7 @@ impl YarnSim {
         for (i, job) in self.workload.jobs().iter().enumerate() {
             queue.push(job.submit, YarnEvent::JobSubmit(i as u32));
         }
-        if let Some(plan) = &self.faults {
+        if let Some(plan) = self.plane.plan() {
             if plan.crash().is_some() {
                 queue.push(SimTime::ZERO, YarnEvent::ChaosCrashTick);
             }
@@ -354,19 +330,11 @@ impl YarnSim {
         }
         let stats = run_until_observed(&mut self, &mut queue, SimTime::MAX, &mut |_| {});
         let makespan = stats.now;
-        let breaker_open_secs = self
-            .health
-            .as_ref()
-            .map(|h| h.open_secs_total(makespan))
-            .unwrap_or(0.0);
         self.tracer.finish();
 
-        let horizon = makespan.since(SimTime::ZERO);
         let energy_kwh = self.nms.iter().map(|n| n.meter.kwh(makespan)).sum();
-        let io = mean(self.nms.iter().map(|n| n.device.busy_fraction(horizon)));
-        let peak = mean(self.nms.iter().map(|n| n.device.peak_used_fraction()));
-        let registry =
-            self.build_registry(makespan, energy_kwh, io, peak, breaker_open_secs, &stats);
+        let registry = self.build_registry(makespan, energy_kwh, &stats);
+        let p = *self.plane.stats();
         let telemetry = TelemetryReport {
             registry,
             timeseries: None,
@@ -380,32 +348,32 @@ impl YarnSim {
             tasks_finished: self.tasks_finished,
             kills: self.kills,
             checkpoints: self.checkpoints,
-            incremental_checkpoints: self.criu.incremental_dumps(),
+            incremental_checkpoints: self.plane.incremental_dumps(),
             restores: self.restores,
             remote_restores: self.remote_restores,
             capacity_fallbacks: self.capacity_fallbacks,
-            gc_reclaimed_bytes: self.gc_reclaimed_bytes,
-            evicted_chains: self.evicted_chains,
-            spill_dumps: self.spill_dumps,
-            no_space_kills: self.no_space_kills,
+            gc_reclaimed_bytes: p.gc_reclaimed_bytes,
+            evicted_chains: p.evicted_chains,
+            spill_dumps: p.spill_dumps,
+            no_space_kills: p.no_space_kills,
             force_kills: self.force_kills,
-            dump_fail_kills: self.dump_fail_kills,
+            dump_fail_kills: p.dump_fail_kills,
             am_escalations: self.am_escalations,
             crash_evictions: self.crash_evictions,
-            breaker_open_kills: self.breaker_open_kills,
-            breaker_open_secs,
-            resumed_dumps: self.resumed_dumps,
-            resumed_bytes: self.resumed_bytes,
-            chunk_refetches: self.chunk_refetches,
-            chain_truncations: self.chain_truncations,
-            integrity_scratch_restarts: self.integrity_scratch_restarts,
+            breaker_open_kills: p.breaker_open_kills,
+            breaker_open_secs: self.plane.breaker_open_secs(makespan),
+            resumed_dumps: p.resumed_dumps,
+            resumed_bytes: p.resumed_bytes,
+            chunk_refetches: p.chunk_refetches,
+            chain_truncations: p.chain_truncations,
+            integrity_scratch_restarts: p.integrity_scratch_restarts,
             kill_lost_cpu_hours: self.kill_lost_cpu_secs / 3600.0,
             dump_overhead_cpu_hours: self.dump_overhead_cpu_secs / 3600.0,
             restore_overhead_cpu_hours: self.restore_overhead_cpu_secs / 3600.0,
             useful_cpu_hours: self.useful_cpu_secs / 3600.0,
             energy_kwh,
-            io_overhead_fraction: io,
-            storage_peak_fraction: peak,
+            io_overhead_fraction: self.plane.io_busy_fraction(makespan.since(SimTime::ZERO)),
+            storage_peak_fraction: self.plane.peak_used_fraction(),
             low_responses: self.low_responses,
             high_responses: self.high_responses,
         };
@@ -419,12 +387,10 @@ impl YarnSim {
         &self,
         makespan: SimTime,
         energy_kwh: f64,
-        io_overhead: f64,
-        storage_peak: f64,
-        breaker_open_secs: f64,
         stats: &RunStats,
     ) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
+        self.plane.register(&mut reg, makespan);
         reg.set_counter("engine.events", "events", stats.events);
         reg.set_counter("scheduler.kills", "ops", self.kills);
         reg.set_counter("scheduler.checkpoints", "ops", self.checkpoints);
@@ -436,28 +402,8 @@ impl YarnSim {
             self.capacity_fallbacks,
         );
         reg.set_counter("scheduler.force_kills", "ops", self.force_kills);
-        reg.set_counter(
-            "lifecycle.gc_reclaimed_bytes",
-            "bytes",
-            self.gc_reclaimed_bytes,
-        );
-        reg.set_counter("lifecycle.evicted_chains", "ops", self.evicted_chains);
-        reg.set_counter("lifecycle.spill_dumps", "ops", self.spill_dumps);
-        reg.set_counter("lifecycle.no_space_kills", "ops", self.no_space_kills);
         reg.set_counter("faults.am_escalations", "ops", self.am_escalations);
-        reg.set_counter("faults.dump_fail_kills", "ops", self.dump_fail_kills);
         reg.set_counter("faults.crash_evictions", "ops", self.crash_evictions);
-        reg.set_counter("faults.breaker_open_kills", "ops", self.breaker_open_kills);
-        reg.set_gauge("faults.breaker_open_secs", "s", breaker_open_secs);
-        reg.set_counter("integrity.resumed_dumps", "ops", self.resumed_dumps);
-        reg.set_counter("integrity.resumed_bytes", "bytes", self.resumed_bytes);
-        reg.set_counter("integrity.chunk_refetches", "ops", self.chunk_refetches);
-        reg.set_counter("integrity.chain_truncations", "ops", self.chain_truncations);
-        reg.set_counter(
-            "integrity.scratch_restarts",
-            "ops",
-            self.integrity_scratch_restarts,
-        );
         reg.set_counter("scheduler.tasks_finished", "ops", self.tasks_finished);
         reg.set_counter(
             "scheduler.jobs_finished",
@@ -486,36 +432,6 @@ impl YarnSim {
             self.restore_overhead_cpu_secs / 3600.0,
         );
         reg.set_gauge("energy.total_kwh", "kWh", energy_kwh);
-        reg.set_gauge("storage.io_busy_fraction", "fraction", io_overhead);
-        reg.set_gauge("storage.peak_used_fraction", "fraction", storage_peak);
-        if let Some(first) = self.nms.first() {
-            let mut writes = first.device.write_latency().clone();
-            let mut reads = first.device.read_latency().clone();
-            for nm in &self.nms[1..] {
-                writes.merge(nm.device.write_latency());
-                reads.merge(nm.device.read_latency());
-            }
-            reg.set_histogram("storage.write_latency_secs", "s", &writes);
-            reg.set_histogram("storage.read_latency_secs", "s", &reads);
-            let written: u64 = self
-                .nms
-                .iter()
-                .map(|n| n.device.bytes_written().as_u64())
-                .sum();
-            let read: u64 = self
-                .nms
-                .iter()
-                .map(|n| n.device.bytes_read().as_u64())
-                .sum();
-            reg.set_counter("storage.bytes_written", "bytes", written);
-            reg.set_counter("storage.bytes_read", "bytes", read);
-            let underflows: u64 = self
-                .nms
-                .iter()
-                .map(|n| n.device.accounting_underflows())
-                .sum();
-            reg.set_counter("storage.accounting_underflows", "ops", underflows);
-        }
         let mut responses = StreamingQuantiles::new();
         for &v in self.low_responses.values() {
             responses.observe(v);
@@ -598,8 +514,8 @@ impl YarnSim {
                     continue;
                 }
                 if let AmTaskStatus::Running { node, .. } = t.status {
-                    let cost = self.checkpoint_cost_secs(t, node as usize, now);
-                    candidates.push((cost, task_key(ai as u32, ti as u32)));
+                    let key = task_key(ai as u32, ti as u32);
+                    candidates.push((self.checkpoint_cost_secs(key, t, node as usize, now), key));
                 }
             }
         }
@@ -618,67 +534,24 @@ impl YarnSim {
     }
 
     /// Cheap (arithmetic) checkpoint-cost estimate used for victim ranking.
-    fn checkpoint_cost_secs(
-        &self,
-        t: &crate::components::AmTask,
-        node: usize,
-        now: SimTime,
-    ) -> f64 {
+    fn checkpoint_cost_secs(&self, key: u64, t: &AmTask, node: usize, now: SimTime) -> f64 {
         let mem = t.spec.resources.mem();
-        let size = if self.cfg.incremental && !t.dfs_paths.is_empty() {
+        let size = if self.cfg.incremental && self.plane.has_dfs_paths(key) {
             let since = now.saturating_since(t.mem_synced).as_secs_f64();
             let dirty = t.memory.as_ref().map(|m| m.dirty_fraction()).unwrap_or(0.0);
             mem.mul_f64((dirty + t.spec.dirty_rate_per_sec * since).min(1.0))
         } else {
             mem
         };
-        let spec = self.nms[node].device.spec();
+        let device = self.plane.device(node);
+        let spec = device.spec();
         let cost =
-            (spec.write_time(size) + spec.read_time(size) + self.nms[node].device.queue_wait(now))
-                .as_secs_f64();
+            (spec.write_time(size) + spec.read_time(size) + device.queue_wait(now)).as_secs_f64();
         // Victim ranking sees the same partition penalty the actual
-        // dump/restore transfers would pay, steering preemption away
-        // from the isolated rack.
-        cost * self.net_factor(node, now).max(1.0)
-    }
-
-    /// Partition degradation multiplier for checkpoint I/O touching
-    /// `node` (1.0 whenever no chaos partition isolates its rack). The
-    /// DFS write pipeline and remote restore reads cross the partition
-    /// boundary, so dumps, restores and the cost estimator all share
-    /// this helper.
-    fn net_factor(&self, node: usize, _now: SimTime) -> f64 {
-        let Some(plan) = self.faults.as_ref() else {
-            return 1.0;
-        };
-        match (self.active_partition, plan.partition()) {
-            (Some(rack), Some(p)) if plan.rack_of(node as u32) == rack => p.penalty,
-            _ => 1.0,
-        }
-    }
-
-    /// Feeds one checkpoint-path outcome on `node` into the breakers and
-    /// traces any state transitions.
-    fn observe_health(&mut self, node: usize, now: SimTime, ok: bool) {
-        let Some(h) = self.health.as_mut() else {
-            return;
-        };
-        let events = h.observe(node as u32, now, ok);
-        if self.trace_on {
-            for e in events {
-                let rec = match e.transition {
-                    BreakerTransition::Opened => TraceRecord::BreakerOpen {
-                        node: e.node.unwrap_or(0),
-                        global: e.node.is_none(),
-                    },
-                    BreakerTransition::Closed => TraceRecord::BreakerClose {
-                        node: e.node.unwrap_or(0),
-                        global: e.node.is_none(),
-                    },
-                };
-                self.tracer.record(now.as_micros(), &rec);
-            }
-        }
+        // dump/restore transfers would pay (the DFS write pipeline and
+        // remote restore reads cross the partition boundary), steering
+        // preemption away from the isolated rack.
+        cost * self.plane.partition_factor(node).max(1.0)
     }
 
     fn count_running(&self, queue: QueueKind) -> u32 {
@@ -712,7 +585,7 @@ impl YarnSim {
         self.update_meter(node, now);
 
         let key = task_key(app, task);
-        let has_image = self.criu.has_image(key);
+        let has_image = self.plane.has_image(key);
         if self.trace_on {
             self.tracer.record(
                 now.as_micros(),
@@ -728,44 +601,15 @@ impl YarnSim {
                 AmTaskStatus::Suspended { origin } => origin,
                 _ => unreachable!("image implies suspended"),
             };
-            // Restore: read every image in the chain from HDFS. Blocks
-            // hosted outside an isolated rack pay the partition penalty.
-            let service: cbp_simkit::SimDuration = self.apps[app as usize].tasks[task as usize]
-                .dfs_paths
-                .iter()
-                .map(|p| {
-                    self.dfs
-                        .read_cost(p, DnId(node as u32))
-                        .map(|c| c.duration)
-                        .unwrap_or(cbp_simkit::SimDuration::ZERO)
-                })
-                .sum();
-            let factor = self.net_factor(node, now);
-            let service = if factor > 1.0 {
-                service.mul_f64(factor)
-            } else {
-                service
-            };
-            let size = self.criu.image_size(key);
-            let op = self.nms[node]
-                .device
-                .submit_custom(now, OpKind::Read, size, service);
             if origin != node as u32 {
                 self.remote_restores += 1;
             }
-            if self.trace_on {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::RestoreStart {
-                        task: key,
-                        node: node as u32,
-                        origin,
-                        device: media_name(self.cfg.media.kind()),
-                        bytes: size.as_u64(),
-                        remote: origin != node as u32,
-                    },
-                );
-            }
+            // Restore: read every image in the chain from HDFS. Blocks
+            // hosted outside an isolated rack pay the partition penalty.
+            let factor = self.plane.partition_factor(node);
+            let op = self
+                .plane
+                .start_restore(&mut *self.tracer, now, key, (node, origin), factor);
             let am_task = &mut self.apps[app as usize].tasks[task as usize];
             am_task.status = AmTaskStatus::Restoring {
                 node: node as u32,
@@ -859,7 +703,7 @@ impl YarnSim {
         self.release_container(app, task, now);
 
         let key = task_key(app, task);
-        let has_image = self.criu.has_image(key);
+        let has_image = self.plane.has_image(key);
         let am_task = &mut self.apps[app as usize].tasks[task as usize];
         am_task.epoch += 1;
         am_task.preemptions += 1;
@@ -873,12 +717,7 @@ impl YarnSim {
             }
         }
         am_task.status = if has_image {
-            let origin = self
-                .criu
-                .chain(key)
-                .and_then(|c| c.tip())
-                .map(|r| r.origin_node)
-                .expect("image has a tip");
+            let origin = self.plane.tip_origin(key).expect("image has a tip");
             AmTaskStatus::Suspended { origin }
         } else {
             AmTaskStatus::Waiting
@@ -888,141 +727,6 @@ impl YarnSim {
         q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
     }
 
-    /// Picks the datanode whose device will hold a dump of `size` written
-    /// from `node`: local if it fits, else the node with the most free
-    /// space (HDFS spills block writes to any datanode).
-    fn dump_origin_for(&self, node: usize, size: cbp_simkit::units::ByteSize) -> Option<usize> {
-        if self.nms[node].device.free_capacity() >= size {
-            return Some(node);
-        }
-        (0..self.nms.len())
-            .filter(|&i| self.nms[i].up)
-            .max_by_key(|&i| (self.nms[i].device.free_capacity(), std::cmp::Reverse(i)))
-            .filter(|&i| self.nms[i].device.free_capacity() >= size)
-    }
-
-    // ---- image lifecycle (capacity backpressure ladder) -----------------
-
-    /// Image bytes `key`'s chain holds on node `node`'s device.
-    fn chain_bytes_on(&self, key: u64, node: usize) -> ByteSize {
-        let Some(chain) = self.criu.chain(key) else {
-            return ByteSize::ZERO;
-        };
-        chain
-            .images()
-            .iter()
-            .filter(|r| r.origin_node == node as u32)
-            .map(|r| r.size)
-            .fold(ByteSize::ZERO, |a, b| a + b)
-    }
-
-    /// The degradation ladder, entered when no NM device can hold a dump
-    /// of `size` from `node`: a GC pass (reclaiming leaked reservations),
-    /// then eviction of the cheapest-to-lose live chains on the local
-    /// device, re-running the origin search after each rung — which also
-    /// re-offers the remote spill. Returns the origin to dump to, or
-    /// `None` when the ladder is exhausted.
-    fn reclaim_for_dump(
-        &mut self,
-        key: u64,
-        node: usize,
-        size: ByteSize,
-        now: SimTime,
-    ) -> Option<usize> {
-        self.gc_pass(now);
-        if let Some(origin) = self.dump_origin_for(node, size) {
-            return Some(origin);
-        }
-        self.evict_for(key, node, size, now);
-        self.dump_origin_for(node, size)
-    }
-
-    /// GC pass: releases every injected leaked reservation (orphaned dump
-    /// directories the NM never cleaned up). The YARN analog tracks no
-    /// dead chains — every catalog chain here is restorable — so leaks
-    /// are all a pass can reclaim.
-    fn gc_pass(&mut self, now: SimTime) {
-        for i in 0..self.nms.len() {
-            let reclaimed = self.leaked[i];
-            if reclaimed == 0 {
-                continue;
-            }
-            self.nms[i].device.release(ByteSize::from_bytes(reclaimed));
-            self.leaked[i] = 0;
-            self.gc_reclaimed_bytes += reclaimed;
-            if self.trace_on {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::GcPass {
-                        node: i as u32,
-                        reclaimed,
-                        chains: 0,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Evicts the cheapest-to-lose live chains holding bytes on `node`'s
-    /// device until a dump of `size` fits (or no plan covers the
-    /// shortfall; partial eviction would destroy progress for nothing).
-    /// Evicted tasks degrade exactly like tasks whose chain was lost to
-    /// a replication failure: the next dump must be full, and a task
-    /// queued on its image restarts from scratch.
-    fn evict_for(&mut self, key: u64, node: usize, size: ByteSize, now: SimTime) {
-        let shortfall = size.saturating_sub(self.nms[node].device.free_capacity());
-        if shortfall.is_zero() {
-            return;
-        }
-        let mut candidates: Vec<EvictionCandidate> = Vec::new();
-        for (ai, am) in self.apps.iter().enumerate() {
-            for (ti, t) in am.tasks.iter().enumerate() {
-                let k = task_key(ai as u32, ti as u32);
-                if k == key
-                    || matches!(
-                        t.status,
-                        AmTaskStatus::Dumping { .. } | AmTaskStatus::Restoring { .. }
-                    )
-                {
-                    continue;
-                }
-                let bytes_on_node = self.chain_bytes_on(k, node);
-                if bytes_on_node.is_zero() {
-                    continue;
-                }
-                candidates.push(EvictionCandidate {
-                    task: k,
-                    cost_core_secs: t.checkpointed_progress.as_secs_f64()
-                        * t.spec.resources.cores_f64(),
-                    bytes_on_node,
-                });
-            }
-        }
-        for victim in plan_evictions(candidates, shortfall) {
-            let (app, task) = ((victim.task >> 32) as u32, victim.task as u32);
-            self.evicted_chains += 1;
-            if self.trace_on {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::ImageEvict {
-                        task: victim.task,
-                        node: node as u32,
-                        bytes: victim.bytes_on_node.as_u64(),
-                    },
-                );
-            }
-            self.discard_chain(app, task);
-            let am_task = &mut self.apps[app as usize].tasks[task as usize];
-            if matches!(
-                am_task.status,
-                AmTaskStatus::Waiting | AmTaskStatus::Suspended { .. }
-            ) {
-                am_task.progress = cbp_simkit::SimDuration::ZERO;
-                am_task.status = AmTaskStatus::Waiting;
-            }
-        }
-    }
-
     /// Suspends a running container with a CRIU dump to HDFS.
     fn dump(&mut self, app: u32, task: u32, now: SimTime, q: &mut EventQueue<YarnEvent>) {
         let (node, cid) = match self.apps[app as usize].tasks[task as usize].status {
@@ -1030,361 +734,141 @@ impl YarnSim {
             _ => unreachable!("dump target must be running"),
         };
         let key = task_key(app, task);
-        let size = {
-            let am_task = &mut self.apps[app as usize].tasks[task as usize];
-            am_task.sync_progress(now);
-            am_task.sync_memory(now);
-            self.criu
-                .next_dump_size(key, am_task.memory.as_ref().expect("synced"))
-                .0
+        let am_task = &mut self.apps[app as usize].tasks[task as usize];
+        am_task.sync_progress(now);
+        am_task.sync_memory(now);
+        let size = self
+            .plane
+            .next_dump_size(key, am_task.memory.as_ref().expect("synced"));
+        let epoch = am_task.epoch;
+        let mut view = View {
+            apps: &mut self.apps,
+            nms: &self.nms,
         };
-
-        let origin = match self.dump_origin_for(node, size) {
-            Some(origin) => Some(origin),
-            None if self.cfg.lifecycle => self.reclaim_for_dump(key, node, size, now),
-            None => None,
-        };
-        let Some(origin) = origin else {
+        let Some(origin) =
+            self.plane
+                .admit_dump(&mut *self.tracer, now, key, node, size, &mut view)
+        else {
             self.capacity_fallbacks += 1;
-            self.no_space_kills += 1;
-            self.observe_health(node, now, false);
-            if self.trace_on {
-                if self.cfg.lifecycle {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::NoSpace {
-                            task: key,
-                            node: node as u32,
-                            wanted: size.as_u64(),
-                        },
-                    );
-                }
-                let reason = if self.cfg.lifecycle {
-                    "no-space"
-                } else {
-                    "no-capacity"
-                };
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::DumpFallback {
-                        task: key,
-                        node: node as u32,
-                        reason,
-                    },
-                );
-            }
-            if std::env::var_os("CBP_DEBUG_CAPACITY").is_some() {
-                let free: Vec<String> = self
-                    .nms
-                    .iter()
-                    .map(|n| format!("{:.1}", n.device.free_capacity().as_gb_f64()))
-                    .collect();
-                eprintln!(
-                    "[{now}] fallback task {app}/{task} size {size} free/node GB: {}",
-                    free.join(" ")
-                );
-            }
             self.kill(app, task, now, q);
             return;
         };
-        if origin != node && self.cfg.lifecycle {
-            self.spill_dumps += 1;
-            if self.trace_on {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::ImageSpill {
-                        task: key,
-                        node: node as u32,
-                        origin: origin as u32,
-                        bytes: size.as_u64(),
-                    },
-                );
-            }
-        }
-
-        let am_task = &self.apps[app as usize].tasks[task as usize];
-        let path = format!(
-            "/ckpt/{app}/{task}/{}/{}",
-            am_task.epoch,
-            am_task.dfs_paths.len()
-        );
         // A rack partition degrades the DFS write pipeline out of the
-        // isolated rack; the slowdown is also a health signal even when
-        // the dump eventually completes.
-        let factor = self.net_factor(node, now);
-        if factor > 1.0 {
-            self.observe_health(node, now, false);
-        }
-        let service = self
-            .dfs
-            .create(&path, size, DnId(node as u32))
-            .ok()
-            .map(|r| {
-                if factor > 1.0 {
-                    r.duration.mul_f64(factor)
-                } else {
-                    r.duration
-                }
-            });
-        if service.is_some() {
-            self.apps[app as usize].tasks[task as usize]
-                .dfs_paths
-                .push(path);
-        }
-
-        let am_task = &mut self.apps[app as usize].tasks[task as usize];
-        let mem = am_task.memory.as_mut().expect("synced");
-        match self.criu.dump_with(
-            key,
-            mem,
-            origin as u32,
-            &mut self.nms[origin].device,
+        // isolated rack.
+        let slowdown = (node, self.plane.partition_factor(node));
+        let mem = self.apps[app as usize].tasks[task as usize]
+            .memory
+            .as_mut()
+            .expect("synced");
+        let Some(dump) = self.plane.write_dump(
+            &mut *self.tracer,
             now,
-            service,
-        ) {
-            Ok(result) => {
-                for (origin, bytes) in &result.freed {
-                    self.nms[*origin as usize].device.release(*bytes);
-                }
-                self.checkpoints += 1;
-                if self.trace_on {
-                    let incremental = matches!(
-                        result.kind,
-                        cbp_checkpoint::CheckpointKind::Incremental { .. }
-                    );
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::DumpStart {
-                            task: key,
-                            node: node as u32,
-                            device: media_name(self.cfg.media.kind()),
-                            bytes: size.as_u64(),
-                            incremental,
-                        },
-                    );
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::TaskEvict {
-                            task: key,
-                            node: node as u32,
-                            reason: "dump",
-                        },
-                    );
-                }
-                let cores = self.apps[app as usize].tasks[task as usize]
-                    .spec
-                    .resources
-                    .cores_f64();
-                // CPU wastage counts the dump's service time only: a queued
-                // victim is stopped and burns no CPU (queueing still delays
-                // resource release through the DumpDone event time).
-                self.dump_overhead_cpu_secs +=
-                    result.op.end.since(result.op.start).as_secs_f64() * cores;
-                let am_task = &mut self.apps[app as usize].tasks[task as usize];
-                am_task.status = AmTaskStatus::Dumping {
-                    node: node as u32,
-                    container: cid,
-                };
-                am_task.epoch += 1;
-                am_task.preemptions += 1;
-                let epoch = am_task.epoch;
-                q.push(
-                    result.op.end,
-                    YarnEvent::DumpDone {
-                        app,
-                        task,
-                        epoch,
-                        // Device service start, so the trace's dump span is
-                        // service time and `start_us - evict time` is the
-                        // checkpoint queue wait (mirrors RestoreDone).
-                        started: result.op.start,
-                    },
-                );
-                if let Some(grace) = self.cfg.graceful_timeout {
-                    q.push(now + grace, YarnEvent::ForceKill { app, task, epoch });
-                }
-            }
-            Err(_) => {
-                self.capacity_fallbacks += 1;
-                self.no_space_kills += 1;
-                self.observe_health(node, now, false);
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::DumpFallback {
-                            task: key,
-                            node: node as u32,
-                            reason: "storage-full",
-                        },
-                    );
-                }
-                self.kill(app, task, now, q);
-            }
-        }
-    }
-
-    /// Handles a dump attempt that failed while retry budget remains: the
-    /// NM rewrites the stored tip after an exponential backoff. With
-    /// chunked resume enabled the rewrite skips the chunks already durable
-    /// before the interruption; the frontier is monotone within the dump
-    /// episode, so a later retry never re-pays chunks an earlier attempt
-    /// landed.
-    fn retry_dump(
-        &mut self,
-        app: u32,
-        task: u32,
-        epoch: u32,
-        attempt: u32,
-        now: SimTime,
-        q: &mut EventQueue<YarnEvent>,
-    ) {
-        let AmTaskStatus::Dumping { node, .. } =
-            self.apps[app as usize].tasks[task as usize].status
-        else {
+            key,
+            node,
+            origin,
+            size,
+            slowdown,
+            move |n| format!("/ckpt/{app}/{task}/{epoch}/{n}"),
+            mem,
+        ) else {
+            self.capacity_fallbacks += 1;
+            self.kill(app, task, now, q);
             return;
         };
-        let key = task_key(app, task);
-        self.observe_health(node as usize, now, false);
-        let plan = self.faults.as_ref().expect("caller checked plan presence");
-        let backoff = plan.dump_retry_backoff(attempt + 1);
+        self.checkpoints += 1;
         if self.trace_on {
             self.tracer.record(
                 now.as_micros(),
-                &TraceRecord::DumpFail {
+                &TraceRecord::TaskEvict {
                     task: key,
-                    node,
-                    attempt,
-                    will_retry: true,
+                    node: node as u32,
+                    reason: "dump",
                 },
             );
         }
-        self.dump_attempts.insert(key, attempt + 1);
-        let tip_info = self
-            .criu
-            .chain(key)
-            .and_then(|c| c.tip())
-            .map(|r| (r.size, r.origin_node));
-        let (size, origin) = tip_info.unwrap_or((
-            self.apps[app as usize].tasks[task as usize]
-                .spec
-                .resources
-                .mem(),
-            node,
-        ));
-        let mut rewrite = size;
-        if plan.resume_enabled() {
-            let frac = plan.dump_durable_frac(key, epoch, attempt);
-            if let Some(tip) = self.criu.chain(key).and_then(|c| c.tip()) {
-                let durable = tip.manifest.durable_bytes(frac).as_u64();
-                let total_chunks = tip.manifest.chunk_count();
-                let prev = self.dump_frontier.get(&key).copied().unwrap_or(0);
-                let frontier = prev.max(durable);
-                if frontier > 0 {
-                    self.dump_frontier.insert(key, frontier);
-                    rewrite = size.saturating_sub(ByteSize::from_bytes(frontier));
-                    self.resumed_dumps += 1;
-                    self.resumed_bytes += frontier;
-                    if self.trace_on {
-                        let done = tip
-                            .manifest
-                            .durable_chunks(frac)
-                            .max(frontier / plan.chunk_bytes().max(1));
-                        self.tracer.record(
-                            now.as_micros(),
-                            &TraceRecord::ChunkDone {
-                                task: key,
-                                node,
-                                chunk: done,
-                                total: total_chunks,
-                            },
-                        );
-                        self.tracer.record(
-                            now.as_micros(),
-                            &TraceRecord::ResumeDump {
-                                task: key,
-                                node,
-                                resumed_bytes: frontier,
-                                total_bytes: size.as_u64(),
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        // The rewrite pays the origin device's sequential write speed (plus
-        // any partition penalty); the preempted container keeps holding its
-        // resources through the window, so the service time is overhead.
-        let factor = self.net_factor(node as usize, now).max(1.0);
-        let service = self.nms[origin as usize]
-            .device
-            .spec()
-            .write_time(rewrite)
-            .mul_f64(factor);
-        let cores = self.apps[app as usize].tasks[task as usize]
-            .spec
-            .resources
-            .cores_f64();
-        self.dump_overhead_cpu_secs += service.as_secs_f64() * cores;
-        let start = now + backoff;
+        let am_task = &mut self.apps[app as usize].tasks[task as usize];
+        // CPU wastage counts the dump's service time only: a queued victim
+        // is stopped and burns no CPU (queueing still delays resource
+        // release through the DumpDone event time).
+        self.dump_overhead_cpu_secs +=
+            dump.op.end.since(dump.op.start).as_secs_f64() * am_task.spec.resources.cores_f64();
+        am_task.status = AmTaskStatus::Dumping {
+            node: node as u32,
+            container: cid,
+        };
+        am_task.epoch += 1;
+        am_task.preemptions += 1;
+        let epoch = am_task.epoch;
         q.push(
-            start + service,
+            dump.op.end,
             YarnEvent::DumpDone {
                 app,
                 task,
                 epoch,
-                started: start,
+                // Device service start, so the trace's dump span is
+                // service time and `start_us - evict time` is the
+                // checkpoint queue wait (mirrors RestoreDone).
+                started: dump.op.start,
             },
         );
+        if let Some(grace) = self.cfg.graceful_timeout {
+            q.push(now + grace, YarnEvent::ForceKill { app, task, epoch });
+        }
     }
 
-    /// Fault-injection fallback: the dump's `criu dump` kept erroring and
-    /// exhausted its retry budget at the NM. The half-written image tip is
-    /// aborted and the container transitions through the same kill path
-    /// the NM uses for a grace-period expiry — progress since the last
-    /// valid checkpoint is lost but the preempted resources are released.
+    /// Handles a failed dump attempt: while retry budget remains the NM
+    /// rewrites the tip after a backoff (resuming past the durable chunk
+    /// frontier with chunked resume). Once exhausted, the Preemption
+    /// Manager's fallback is the stock-YARN one: the half-written image is
+    /// aborted and the container transitions through the kill path the NM
+    /// uses for a grace-period expiry.
+    #[allow(clippy::too_many_arguments)]
     fn on_dump_failed(
         &mut self,
         app: u32,
         task: u32,
         node: u32,
+        epoch: u32,
         attempt: u32,
         now: SimTime,
         q: &mut EventQueue<YarnEvent>,
     ) {
-        let key = task_key(app, task);
-        self.dump_fail_kills += 1;
-        self.dump_attempts.remove(&key);
-        self.dump_frontier.remove(&key);
-        self.observe_health(node as usize, now, false);
-        if let Some((origin, bytes)) = self.criu.abort_tip(key) {
-            self.nms[origin as usize].device.release(bytes);
-        }
-        if let Some(path) = self.apps[app as usize].tasks[task as usize].dfs_paths.pop() {
-            let _ = self.dfs.delete(&path);
-        }
-        if self.trace_on {
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::DumpFail {
-                    task: key,
-                    node,
-                    attempt,
-                    will_retry: false,
+        let resources = self.apps[app as usize].tasks[task as usize].spec.resources;
+        let retry = self.plane.on_dump_failed(
+            &mut *self.tracer,
+            now,
+            (task_key(app, task), node as usize, epoch, attempt),
+            self.plane.partition_factor(node as usize),
+            resources.cores_f64(),
+            resources.mem(),
+            &mut self.dump_overhead_cpu_secs,
+        );
+        match retry {
+            Some((start, end)) => q.push(
+                end,
+                YarnEvent::DumpDone {
+                    app,
+                    task,
+                    epoch,
+                    started: start,
                 },
-            );
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::DumpFallback {
-                    task: key,
-                    node,
-                    reason: "dump-fail",
-                },
-            );
+            ),
+            None => self.kill_held_container(app, task, now, q),
         }
-        // The container is still held; transition it through a kill.
+    }
+
+    /// Kills a container whose dump was abandoned: it still holds its
+    /// resources, so it transitions through a kill.
+    fn kill_held_container(
+        &mut self,
+        app: u32,
+        task: u32,
+        now: SimTime,
+        q: &mut EventQueue<YarnEvent>,
+    ) {
         let am_task = &mut self.apps[app as usize].tasks[task as usize];
         let AmTaskStatus::Dumping { node, container } = am_task.status else {
-            unreachable!("dump failure detected in Dumping state")
+            unreachable!("an abandoned dump leaves its container in Dumping")
         };
         am_task.status = AmTaskStatus::Running { node, container };
         self.kill(app, task, now, q);
@@ -1414,37 +898,8 @@ impl YarnSim {
         // The node's datanode died with it: re-replicate every block that
         // lost a replica onto the survivors; blocks whose only replica
         // lived here are gone, breaking the image chains stacked on them.
-        let mut lost_chains: Vec<(u32, u32)> = Vec::new();
-        if let Ok(repair) = self.dfs.fail_datanode(DnId(node as u32)) {
-            if self.trace_on && (repair.blocks_repaired > 0 || repair.blocks_lost > 0) {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::ReplicationRepair {
-                        node: node as u32,
-                        blocks: repair.blocks_repaired as u64,
-                        bytes: repair.bytes_copied.as_u64(),
-                    },
-                );
-            }
-            if repair.blocks_lost > 0 {
-                for (ai, am) in self.apps.iter().enumerate() {
-                    for (ti, t) in am.tasks.iter().enumerate() {
-                        if t.dfs_paths.is_empty() {
-                            continue;
-                        }
-                        let broken = t
-                            .dfs_paths
-                            .iter()
-                            .any(|p| !self.dfs.is_readable(p).unwrap_or(true));
-                        if broken {
-                            lost_chains.push((ai as u32, ti as u32));
-                        }
-                    }
-                }
-            }
-        }
-        for (app, task) in lost_chains {
-            self.drop_lost_chain(app, task, now, q);
+        for key in self.plane.fail_datanode(&mut *self.tracer, now, node) {
+            self.drop_lost_chain((key >> 32) as u32, key as u32, now, q);
         }
         self.update_meter(node, now);
         q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
@@ -1454,41 +909,37 @@ impl YarnSim {
     /// eviction is not the scheduler's choice, so it counts as a
     /// `crash_eviction`; an in-flight dump dies with the node.
     fn crash_victim(&mut self, app: u32, task: u32, now: SimTime, q: &mut EventQueue<YarnEvent>) {
-        let key = task_key(app, task);
-        if let AmTaskStatus::Dumping { node, container } =
-            self.apps[app as usize].tasks[task as usize].status
-        {
-            // Abort the half-written tip; the epoch bump below stales the
-            // queued DumpDone, so close the dangling dump span here.
-            self.dump_attempts.remove(&key);
-            self.dump_frontier.remove(&key);
-            if let Some((origin, bytes)) = self.criu.abort_tip(key) {
-                self.nms[origin as usize].device.release(bytes);
-            }
-            if let Some(path) = self.apps[app as usize].tasks[task as usize].dfs_paths.pop() {
-                let _ = self.dfs.delete(&path);
-            }
-            if self.trace_on {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::DumpFallback {
-                        task: key,
-                        node,
-                        reason: "node-crash",
-                    },
-                );
-            }
+        self.abort_crashed_dump(app, task, now);
+        self.crash_evictions += 1;
+        self.evict_container(app, task, now, q, "node-crash");
+    }
+
+    /// If `task` is dumping, aborts the half-written tip and closes the
+    /// dangling dump span (the eviction's epoch bump stales the queued
+    /// DumpDone), leaving the held container to be evicted as a running
+    /// one.
+    fn abort_crashed_dump(&mut self, app: u32, task: u32, now: SimTime) {
+        let am_task = &self.apps[app as usize].tasks[task as usize];
+        if let AmTaskStatus::Dumping { node, container } = am_task.status {
+            self.plane.abort_dump(
+                &mut *self.tracer,
+                now,
+                task_key(app, task),
+                node as usize,
+                "node-crash",
+                true,
+            );
             self.apps[app as usize].tasks[task as usize].status =
                 AmTaskStatus::Running { node, container };
         }
-        self.crash_evictions += 1;
-        self.evict_container(app, task, now, q, "node-crash");
     }
 
     /// A replication repair could not save `task`'s image chain: discard
     /// it for good. The checkpointed progress becomes re-execution waste
     /// and the task degrades to a fresh start; an in-flight dump or
-    /// restore stacked on the lost ancestors is aborted.
+    /// restore stacked on the lost ancestors is aborted and its container
+    /// evicted (a live task keeps its in-memory progress; only the safety
+    /// net is gone).
     fn drop_lost_chain(
         &mut self,
         app: u32,
@@ -1496,282 +947,23 @@ impl YarnSim {
         now: SimTime,
         q: &mut EventQueue<YarnEvent>,
     ) {
-        let key = task_key(app, task);
-        match self.apps[app as usize].tasks[task as usize].status {
-            AmTaskStatus::Dumping { node, container } => {
-                // The tip being written sat below lost ancestor blocks.
-                self.dump_attempts.remove(&key);
-                self.dump_frontier.remove(&key);
-                if let Some((origin, bytes)) = self.criu.abort_tip(key) {
-                    self.nms[origin as usize].device.release(bytes);
-                }
-                if let Some(path) = self.apps[app as usize].tasks[task as usize].dfs_paths.pop() {
-                    let _ = self.dfs.delete(&path);
-                }
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::DumpFallback {
-                            task: key,
-                            node,
-                            reason: "node-crash",
-                        },
-                    );
-                }
-                self.discard_chain(app, task);
-                self.apps[app as usize].tasks[task as usize].status =
-                    AmTaskStatus::Running { node, container };
-                self.crash_evictions += 1;
-                self.evict_container(app, task, now, q, "node-crash");
-            }
-            AmTaskStatus::Restoring { .. } => {
-                // The in-flight read can no longer complete; the epoch
-                // bump in the eviction stales the queued RestoreDone.
-                self.discard_chain(app, task);
-                self.crash_evictions += 1;
-                self.evict_container(app, task, now, q, "node-crash");
-            }
-            AmTaskStatus::Running { .. } | AmTaskStatus::Done => {
-                // A live task keeps its in-memory progress; only the
-                // safety net is gone (the next dump must be full).
-                self.discard_chain(app, task);
-            }
-            AmTaskStatus::Waiting | AmTaskStatus::Suspended { .. } => {
-                // Queued on the lost image: degrade to a fresh start in
-                // place (the task already sits in the launch queue).
-                self.discard_chain(app, task);
-                let am_task = &mut self.apps[app as usize].tasks[task as usize];
-                am_task.progress = cbp_simkit::SimDuration::ZERO;
-                am_task.status = AmTaskStatus::Waiting;
-            }
+        let in_flight = matches!(
+            self.apps[app as usize].tasks[task as usize].status,
+            AmTaskStatus::Dumping { .. } | AmTaskStatus::Restoring { .. }
+        );
+        self.abort_crashed_dump(app, task, now);
+        self.drop_chain(app, task);
+        if in_flight {
+            self.crash_evictions += 1;
+            self.evict_container(app, task, now, q, "node-crash");
         }
     }
 
     /// Forgets `task`'s checkpoint chain: storage is released, the DFS
-    /// paths are deleted and the checkpointed progress is zeroed.
-    fn discard_chain(&mut self, app: u32, task: u32) {
-        let key = task_key(app, task);
-        for (origin, bytes) in self.criu.discard(key) {
-            self.nms[origin as usize].device.release(bytes);
-        }
-        for path in std::mem::take(&mut self.apps[app as usize].tasks[task as usize].dfs_paths) {
-            let _ = self.dfs.delete(&path);
-        }
-        let am_task = &mut self.apps[app as usize].tasks[task as usize];
-        am_task.checkpointed_progress = cbp_simkit::SimDuration::ZERO;
-        if let Some(mem) = am_task.memory.as_mut() {
-            mem.mark_all_dirty();
-        }
-    }
-
-    /// Chunk-level validation of a restored chain (chunked-resume mode):
-    /// every corrupt chunk first attempts a targeted re-fetch from a DFS
-    /// replica; an image that stays invalid cuts the chain at its longest
-    /// valid prefix (the older tip is re-read in place), and a chain with
-    /// no valid prefix restarts the task from scratch on its container.
-    fn validate_restored_chain(
-        &mut self,
-        app: u32,
-        task: u32,
-        epoch: u32,
-        started: SimTime,
-        now: SimTime,
-        q: &mut EventQueue<YarnEvent>,
-    ) -> ChainValidation {
-        let key = task_key(app, task);
-        let AmTaskStatus::Restoring { node, container } =
-            self.apps[app as usize].tasks[task as usize].status
-        else {
-            return ChainValidation::Intact;
-        };
-        // Snapshot (image idx → corrupt chunks with lengths): the catalog
-        // is mutated during repair, so iterate over an owned copy.
-        let images: Vec<(usize, Vec<(u64, u64)>)> = match self.criu.chain(key) {
-            Some(chain) => chain
-                .images()
-                .iter()
-                .enumerate()
-                .map(|(i, img)| {
-                    let bad = img
-                        .manifest
-                        .corrupt_chunks()
-                        .into_iter()
-                        .map(|c| (c, img.manifest.chunks[c as usize].len))
-                        .collect();
-                    (i, bad)
-                })
-                .collect(),
-            None => return ChainValidation::Intact,
-        };
-        if images.iter().all(|(_, bad)| bad.is_empty()) {
-            return ChainValidation::Intact;
-        }
-        let cores = self.apps[app as usize].tasks[task as usize]
-            .spec
-            .resources
-            .cores_f64();
-        let total = images.len();
-        let mut valid_prefix = total;
-        'walk: for (i, bad) in images {
-            for (chunk, len) in bad {
-                // A replica exists when the image's HDFS blocks are still
-                // readable from this datanode.
-                let replica = self.apps[app as usize].tasks[task as usize]
-                    .dfs_paths
-                    .get(i)
-                    .is_some_and(|p| self.dfs.is_readable(p).unwrap_or(false));
-                // Per-image × per-chunk key so refetch draws across chain
-                // images stay independent.
-                let ckey = ((i as u64) << 20) | chunk;
-                let ok = replica
-                    && !self
-                        .faults
-                        .as_ref()
-                        .expect("resume mode implies a plan")
-                        .chunk_refetch_fails(key, epoch, ckey);
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::ChunkRefetch {
-                            task: key,
-                            node,
-                            chunk,
-                            ok,
-                        },
-                    );
-                }
-                if ok {
-                    self.criu.repair_chunk(key, i, chunk);
-                    self.chunk_refetches += 1;
-                    // The targeted re-read holds the container for the
-                    // chunk's transfer time.
-                    let reread = self.nms[node as usize]
-                        .device
-                        .spec()
-                        .read_time(ByteSize::from_bytes(len));
-                    self.restore_overhead_cpu_secs += reread.as_secs_f64() * cores;
-                } else {
-                    valid_prefix = i;
-                    break 'walk;
-                }
-            }
-        }
-        if valid_prefix == total {
-            // Every corrupt chunk was repaired in place: the restore holds.
-            return ChainValidation::Intact;
-        }
-        // The completed read past the prefix was wasted work.
-        self.restore_overhead_cpu_secs += now.since(started).as_secs_f64() * cores;
-        self.observe_health(node as usize, now, false);
-        if valid_prefix == 0 {
-            // No valid prefix: the checkpointed progress is re-execution
-            // waste and the task restarts from scratch on its container.
-            if self.trace_on {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::RestoreFail {
-                        task: key,
-                        node,
-                        attempt: 0,
-                        reason: "corrupt-image",
-                        will_retry: false,
-                    },
-                );
-            }
-            self.integrity_scratch_restarts += 1;
-            let lost = self.apps[app as usize].tasks[task as usize].checkpointed_progress;
-            self.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
-            self.discard_chain(app, task);
-            let startup = self.cfg.container_startup;
-            let am_task = &mut self.apps[app as usize].tasks[task as usize];
-            am_task.progress = cbp_simkit::SimDuration::ZERO;
-            am_task.status = AmTaskStatus::Running { node, container };
-            am_task.run_started = now + startup;
-            am_task.mem_synced = am_task.run_started;
-            let epoch = am_task.epoch;
-            q.push(
-                am_task.run_started + am_task.remaining(),
-                YarnEvent::TaskFinish { app, task, epoch },
-            );
-            return ChainValidation::Dead;
-        }
-        // Truncate to the longest valid prefix and restore from the older
-        // tip instead of losing the whole chain.
-        let dropped = (total - valid_prefix) as u64;
-        for (origin, bytes) in self.criu.truncate_chain(key, valid_prefix) {
-            self.nms[origin as usize].device.release(bytes);
-        }
-        while self.apps[app as usize].tasks[task as usize].dfs_paths.len() > valid_prefix {
-            let path = self.apps[app as usize].tasks[task as usize]
-                .dfs_paths
-                .pop()
-                .expect("length checked");
-            let _ = self.dfs.delete(&path);
-        }
-        self.chain_truncations += 1;
-        if self.trace_on {
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::ChainTruncate {
-                    task: key,
-                    node,
-                    dropped,
-                    kept: valid_prefix as u64,
-                },
-            );
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::RestoreFail {
-                    task: key,
-                    node,
-                    attempt: 0,
-                    reason: "corrupt-image",
-                    will_retry: true,
-                },
-            );
-        }
-        // Roll progress back to what the surviving tip certifies.
-        let stamp = self
-            .criu
-            .chain(key)
-            .and_then(|c| c.tip())
-            .map(|r| r.progress)
-            .unwrap_or(0);
-        let am_task = &mut self.apps[app as usize].tasks[task as usize];
-        am_task.checkpointed_progress = cbp_simkit::SimDuration::from_micros(stamp);
-        am_task.progress = am_task.checkpointed_progress;
-        // Re-read the truncated chain in place (same node, same episode).
-        // The strictly shrinking chain bounds the truncation loop.
-        let service: cbp_simkit::SimDuration = self.apps[app as usize].tasks[task as usize]
-            .dfs_paths
-            .iter()
-            .map(|p| {
-                self.dfs
-                    .read_cost(p, DnId(node))
-                    .map(|c| c.duration)
-                    .unwrap_or(cbp_simkit::SimDuration::ZERO)
-            })
-            .sum();
-        let factor = self.net_factor(node as usize, now);
-        let service = if factor > 1.0 {
-            service.mul_f64(factor)
-        } else {
-            service
-        };
-        let size = self.criu.image_size(key);
-        let op = self.nms[node as usize]
-            .device
-            .submit_custom(now, OpKind::Read, size, service);
-        q.push(
-            op.end,
-            YarnEvent::RestoreDone {
-                app,
-                task,
-                epoch,
-                started: op.start,
-            },
-        );
-        ChainValidation::Truncated
+    /// files are deleted and the task degrades (see [`drop_checkpoint`]).
+    fn drop_chain(&mut self, app: u32, task: u32) {
+        self.plane.discard_chain(task_key(app, task));
+        drop_checkpoint(&mut self.apps[app as usize].tasks[task as usize]);
     }
 }
 
@@ -1842,7 +1034,7 @@ impl YarnSim {
                 // escalation backstop when none is configured) and
                 // escalates to a forced kill so the production ask is
                 // never starved forever.
-                if let Some(plan) = &self.faults {
+                if let Some(plan) = self.plane.plan() {
                     if plan.am_unresponsive(task_key(app, task), epoch) {
                         let wait = self
                             .cfg
@@ -1857,10 +1049,10 @@ impl YarnSim {
                 self.apps[app as usize].tasks[task as usize].sync_memory(now);
                 let mut decision = {
                     let am_task = &self.apps[app as usize].tasks[task as usize];
-                    let est = self.criu.estimate(
+                    let est = self.plane.estimate(
                         task_key(app, task),
                         am_task.memory.as_ref().expect("synced"),
-                        &self.nms[node].device,
+                        node,
                         now,
                     );
                     preemption_decision(self.cfg.policy, am_task.progress_at_risk(), &est)
@@ -1868,14 +1060,10 @@ impl YarnSim {
                 // Circuit breaker: while the checkpoint path on `node` is
                 // considered down, the Preemption Manager degrades to the
                 // stock-YARN kill instead of risking another dump.
-                let mut breaker_kill = false;
-                if decision == PreemptDecision::Checkpoint {
-                    if let Some(h) = self.health.as_mut() {
-                        if !h.allow(node as u32, now) {
-                            decision = PreemptDecision::Kill;
-                            breaker_kill = true;
-                        }
-                    }
+                let breaker_kill = decision == PreemptDecision::Checkpoint
+                    && !self.plane.breaker_allows(node, now);
+                if breaker_kill {
+                    decision = PreemptDecision::Kill;
                 }
                 if self.trace_on {
                     let (action, reason) = if breaker_kill {
@@ -1906,17 +1094,8 @@ impl YarnSim {
                     );
                 }
                 if breaker_kill {
-                    self.breaker_open_kills += 1;
-                    if self.trace_on {
-                        self.tracer.record(
-                            now.as_micros(),
-                            &TraceRecord::DumpFallback {
-                                task: task_key(app, task),
-                                node: node as u32,
-                                reason: "breaker-open",
-                            },
-                        );
-                    }
+                    self.plane
+                        .breaker_kill(&mut *self.tracer, now, task_key(app, task), node);
                 }
                 match decision {
                     PreemptDecision::Kill => self.kill(app, task, now, q),
@@ -1931,35 +1110,18 @@ impl YarnSim {
                 let AmTaskStatus::Dumping { node, .. } = am_task.status else {
                     return;
                 };
-                // Abort the half-written dump and kill the container.
-                let key = task_key(app, task);
-                self.dump_attempts.remove(&key);
-                self.dump_frontier.remove(&key);
-                if let Some((origin, bytes)) = self.criu.abort_tip(key) {
-                    self.nms[origin as usize].device.release(bytes);
-                }
-                let _ = self.apps[app as usize].tasks[task as usize].dfs_paths.pop();
+                // Abort the half-written dump and kill the container. The
+                // NM's forced kill leaves the partial DFS file behind.
                 self.force_kills += 1;
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::DumpFallback {
-                            task: key,
-                            node,
-                            reason: "grace-expired",
-                        },
-                    );
-                }
-                let _ = node;
-                // The container is still held; transition it through a kill.
-                // kill() handles Running; emulate by restoring Running-like
-                // state first.
-                let am_task = &mut self.apps[app as usize].tasks[task as usize];
-                let AmTaskStatus::Dumping { node, container } = am_task.status else {
-                    unreachable!()
-                };
-                am_task.status = AmTaskStatus::Running { node, container };
-                self.kill(app, task, now, q);
+                self.plane.abort_dump(
+                    &mut *self.tracer,
+                    now,
+                    task_key(app, task),
+                    node as usize,
+                    "grace-expired",
+                    false,
+                );
+                self.kill_held_container(app, task, now, q);
             }
             YarnEvent::AmEscalate { app, task, epoch } => {
                 let am_task = &self.apps[app as usize].tasks[task as usize];
@@ -1971,7 +1133,7 @@ impl YarnSim {
                 };
                 self.am_escalations += 1;
                 if self.trace_on {
-                    let plan = self.faults.as_ref().expect("escalation requires a plan");
+                    let plan = self.plane.plan().expect("escalation requires a plan");
                     let waited = self
                         .cfg
                         .graceful_timeout
@@ -2000,84 +1162,32 @@ impl YarnSim {
                 let AmTaskStatus::Dumping { node, .. } = am_task.status else {
                     return;
                 };
-                self.nms[node as usize].device.on_advance(now);
-                // Fault injection: the NM's `criu dump` errored. While the
-                // retry budget lasts the tip is rewritten after a backoff
-                // (resuming past the durable chunk frontier when chunked
-                // resume is on); once exhausted the Preemption Manager's
-                // fallback is the stock-YARN one — abort the half-written
-                // image and kill the container.
-                if let Some(plan) = &self.faults {
-                    let key = task_key(app, task);
-                    let attempt = self.dump_attempts.get(&key).copied().unwrap_or(0);
-                    if plan.dump_fails(key, epoch, attempt) {
-                        if attempt < plan.max_dump_retries() {
-                            self.retry_dump(app, task, epoch, attempt, now, q);
-                        } else {
-                            self.on_dump_failed(app, task, node, attempt, now, q);
-                        }
-                        return;
-                    }
+                let key = task_key(app, task);
+                self.plane.on_advance(node as usize, now);
+                // Fault injection: the NM's `criu dump` errored.
+                if let Some(attempt) = self.plane.dump_attempt_failed(key, epoch) {
+                    self.on_dump_failed(app, task, node, epoch, attempt, now, q);
+                    return;
                 }
-                self.observe_health(node as usize, now, true);
                 self.release_container(app, task, now);
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::DumpDone {
-                            task: task_key(app, task),
-                            node,
-                            start_us: started.as_micros(),
-                        },
-                    );
-                }
+                // The tip is stamped with the progress it certifies, so a
+                // later chain truncation rolls the task back to exactly
+                // that; with chunked resume, corruption lands per chunk in
+                // its manifest, repairable by a replica re-fetch.
+                let progress = self.apps[app as usize].tasks[task as usize].progress;
+                self.plane.dump_done(
+                    &mut *self.tracer,
+                    now,
+                    key,
+                    node as usize,
+                    epoch,
+                    started,
+                    progress.as_micros(),
+                );
                 let am_task = &mut self.apps[app as usize].tasks[task as usize];
-                am_task.checkpointed_progress = am_task.progress;
+                am_task.checkpointed_progress = progress;
                 am_task.preempt_requested = false;
                 am_task.status = AmTaskStatus::Suspended { origin: node };
-                let key = task_key(app, task);
-                let stamp = self.apps[app as usize].tasks[task as usize]
-                    .checkpointed_progress
-                    .as_micros();
-                // Stamp the tip with the progress it certifies, so a later
-                // chain truncation can roll the task back to exactly the
-                // progress its surviving tip guarantees.
-                self.criu.set_tip_progress(key, stamp);
-                // With chunked resume on, corruption is drawn per *chunk*
-                // and lands in the tip's manifest, repairable at restore
-                // time by a targeted replica re-fetch.
-                if let Some(plan) = &self.faults {
-                    self.dump_attempts.remove(&key);
-                    self.dump_frontier.remove(&key);
-                    if plan.resume_enabled() {
-                        let hit: Vec<(u64, u64)> = self
-                            .criu
-                            .chain(key)
-                            .and_then(|c| c.tip())
-                            .map(|tip| {
-                                let n = tip.manifest.chunk_count();
-                                (0..n)
-                                    .filter(|&c| plan.chunk_corrupt(key, epoch, c, n))
-                                    .map(|c| (c, tip.id.0))
-                                    .collect()
-                            })
-                            .unwrap_or_default();
-                        for &(chunk, image) in &hit {
-                            self.criu.mark_tip_chunk_corrupt(key, chunk);
-                            if self.trace_on {
-                                self.tracer.record(
-                                    now.as_micros(),
-                                    &TraceRecord::ChunkCorrupt {
-                                        task: key,
-                                        node,
-                                        image,
-                                        chunk,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
                 self.apps[app as usize].requeue(task);
                 self.rm.add_asks(app, 1);
                 q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
@@ -2095,30 +1205,79 @@ impl YarnSim {
                 let AmTaskStatus::Restoring { node, container } = am_task.status else {
                     return;
                 };
-                self.nms[node as usize].device.on_advance(now);
+                let (key, at) = (task_key(app, task), node as usize);
+                self.plane.on_advance(at, now);
+                let cores = self.apps[app as usize].tasks[task as usize]
+                    .spec
+                    .resources
+                    .cores_f64();
                 // Chunked-resume integrity: validate the chain before the
-                // restored state is trusted. A truncation already re-read
-                // the shorter chain; a dead chain restarted from scratch.
-                if self.faults.as_ref().is_some_and(|p| p.resume_enabled()) {
-                    match self.validate_restored_chain(app, task, epoch, started, now, q) {
-                        ChainValidation::Intact => {}
-                        ChainValidation::Truncated | ChainValidation::Dead => return,
+                // restored state is trusted. A truncation re-reads the
+                // shorter chain in place (same node, same episode); a dead
+                // chain restarts the task from scratch on its container.
+                match self.plane.validate_restored_chain(
+                    &mut *self.tracer,
+                    now,
+                    (key, at, epoch),
+                    started,
+                    cores,
+                    self.plane.partition_factor(at),
+                    &mut self.restore_overhead_cpu_secs,
+                ) {
+                    Validation::Intact => {}
+                    Validation::Truncated { progress_us, op } => {
+                        let am_task = &mut self.apps[app as usize].tasks[task as usize];
+                        am_task.checkpointed_progress = SimDuration::from_micros(progress_us);
+                        am_task.progress = am_task.checkpointed_progress;
+                        q.push(
+                            op.end,
+                            YarnEvent::RestoreDone {
+                                app,
+                                task,
+                                epoch,
+                                started: op.start,
+                            },
+                        );
+                        return;
+                    }
+                    Validation::Dead => {
+                        // The checkpointed progress is re-execution waste.
+                        let lost =
+                            self.apps[app as usize].tasks[task as usize].checkpointed_progress;
+                        self.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
+                        self.drop_chain(app, task);
+                        // The task restarts from scratch on the container
+                        // it holds: a fresh (non-restore) schedule, so the
+                        // trace shows a new run beginning after the failed
+                        // restore instead of a finish out of nowhere.
+                        if self.trace_on {
+                            self.tracer.record(
+                                now.as_micros(),
+                                &TraceRecord::TaskSchedule {
+                                    task: key,
+                                    node,
+                                    restore: false,
+                                },
+                            );
+                        }
+                        let startup = self.cfg.container_startup;
+                        let am_task = &mut self.apps[app as usize].tasks[task as usize];
+                        am_task.progress = SimDuration::ZERO;
+                        am_task.status = AmTaskStatus::Running { node, container };
+                        am_task.run_started = now + startup;
+                        am_task.mem_synced = am_task.run_started;
+                        let epoch = am_task.epoch;
+                        q.push(
+                            am_task.run_started + am_task.remaining(),
+                            YarnEvent::TaskFinish { app, task, epoch },
+                        );
+                        return;
                     }
                 }
                 self.restores += 1;
-                self.observe_health(node as usize, now, true);
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::RestoreDone {
-                            task: task_key(app, task),
-                            node,
-                            start_us: started.as_micros(),
-                        },
-                    );
-                }
+                self.plane
+                    .restore_done(&mut *self.tracer, now, key, at, started);
                 let am_task = &mut self.apps[app as usize].tasks[task as usize];
-                let cores = am_task.spec.resources.cores_f64();
                 self.restore_overhead_cpu_secs += now.since(started).as_secs_f64() * cores;
                 am_task.status = AmTaskStatus::Running { node, container };
                 am_task.run_started = now;
@@ -2160,15 +1319,7 @@ impl YarnSim {
                 self.useful_cpu_secs += cores * work;
                 self.tasks_finished += 1;
 
-                let key = task_key(app, task);
-                for (origin, bytes) in self.criu.discard(key) {
-                    self.nms[origin as usize].device.release(bytes);
-                }
-                for path in
-                    std::mem::take(&mut self.apps[app as usize].tasks[task as usize].dfs_paths)
-                {
-                    let _ = self.dfs.delete(&path);
-                }
+                self.plane.discard_chain(task_key(app, task));
 
                 let am = &mut self.apps[app as usize];
                 let released_reduces = am.on_task_done(task);
@@ -2190,7 +1341,9 @@ impl YarnSim {
                 // One stateless oracle evaluation per window: which nodes
                 // crash in the window starting now?
                 let (window, downtime, crashed) = {
-                    let Some(plan) = &self.faults else { return };
+                    let Some(plan) = self.plane.plan() else {
+                        return;
+                    };
                     let Some(c) = plan.crash() else { return };
                     let widx = now.as_micros() / c.window.as_micros().max(1);
                     let crashed: Vec<usize> = (0..self.nms.len())
@@ -2211,38 +1364,9 @@ impl YarnSim {
                 }
             }
             YarnEvent::ChaosPartitionTick => {
-                let (window, next) = {
-                    let Some(plan) = &self.faults else { return };
-                    let Some(p) = plan.partition() else { return };
-                    let widx = now.as_micros() / p.window.as_micros().max(1);
-                    let racks = match self.nms.len() {
-                        0 => 0,
-                        n => plan.rack_of(n as u32 - 1) + 1,
-                    };
-                    (p.window, plan.partition_isolates(widx, racks))
-                };
-                if next != self.active_partition {
-                    if self.trace_on {
-                        if let Some(rack) = self.active_partition {
-                            self.tracer
-                                .record(now.as_micros(), &TraceRecord::PartitionEnd { rack });
-                        }
-                        if let Some(rack) = next {
-                            self.tracer
-                                .record(now.as_micros(), &TraceRecord::PartitionStart { rack });
-                        }
-                    }
-                    self.active_partition = next;
-                }
-                if self.tasks_finished < self.total_tasks {
+                let drained = self.tasks_finished >= self.total_tasks;
+                if let Some(window) = self.plane.partition_tick(&mut *self.tracer, now, drained) {
                     q.push(now + window, YarnEvent::ChaosPartitionTick);
-                } else if let Some(rack) = self.active_partition.take() {
-                    // Heal the partition when the schedule winds down so
-                    // the trace's start/end events tile.
-                    if self.trace_on {
-                        self.tracer
-                            .record(now.as_micros(), &TraceRecord::PartitionEnd { rack });
-                    }
                 }
             }
             YarnEvent::ChaosRecover(node) => {
@@ -2252,7 +1376,7 @@ impl YarnSim {
                 self.nms[node as usize].up = true;
                 // Re-registration: the datanode rejoins empty (its blocks
                 // were re-replicated or lost at crash time).
-                let _ = self.dfs.recover_datanode(DnId(node));
+                self.plane.recover_datanode(node as usize);
                 if self.trace_on {
                     self.tracer
                         .record(now.as_micros(), &TraceRecord::NodeUp { node });
@@ -2260,53 +1384,16 @@ impl YarnSim {
                 q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
             }
             YarnEvent::PressureTick => {
-                let Some((window, leak_bytes, leaking)) = self.faults.as_ref().and_then(|plan| {
-                    plan.pressure().map(|p| {
-                        let widx = now.as_micros() / p.window.as_micros().max(1);
-                        let leaking: Vec<usize> = (0..self.nms.len())
-                            .filter(|&i| self.nms[i].up && plan.leaks(i as u32, widx))
-                            .collect();
-                        (p.window, p.leak_bytes, leaking)
-                    })
-                }) else {
+                let nms = &self.nms;
+                let Some(window) = self.plane.inject_leaks(now, |i| nms[i].up) else {
                     return;
                 };
-                for i in leaking {
-                    let amount = leak_bytes.min(self.nms[i].device.free_capacity());
-                    if amount.is_zero() {
-                        continue;
-                    }
-                    self.nms[i]
-                        .device
-                        .reserve(amount)
-                        .expect("leak amount clamped to free capacity");
-                    self.leaked[i] += amount.as_u64();
-                }
                 // Stop ticking once the workload drained, else the tick
                 // chain keeps the run alive forever.
                 if self.tasks_finished < self.total_tasks {
                     q.push(now + window, YarnEvent::PressureTick);
                 }
             }
-        }
-    }
-
-    /// Debug-build invariant: every byte reserved on an NM's checkpoint
-    /// store is either a live catalog image or an injected leak. Checked
-    /// after every event, so an unpaired reserve/release is caught at
-    /// the exact event that introduced it.
-    #[cfg(debug_assertions)]
-    fn assert_image_conservation(&self, now: SimTime) {
-        // Manifest ↔ catalog ↔ ledger first (per-image checksums and
-        // per-node byte recomputation), then ledger ↔ device reservations.
-        self.criu.assert_manifest_consistency();
-        for (i, nm) in self.nms.iter().enumerate() {
-            let live = self.criu.live_bytes_on(i as u32).as_u64();
-            assert_eq!(
-                nm.device.used().as_u64(),
-                live + self.leaked[i],
-                "image-ledger conservation violated on node {i} at {now:?}"
-            );
         }
     }
 }
@@ -2317,7 +1404,7 @@ impl Simulation for YarnSim {
     fn handle(&mut self, now: SimTime, event: YarnEvent, q: &mut EventQueue<YarnEvent>) {
         self.dispatch(now, event, q);
         #[cfg(debug_assertions)]
-        self.assert_image_conservation(now);
+        self.plane.assert_image_conservation(now);
     }
 
     fn event_kind(&self, event: &YarnEvent) -> &'static str {
@@ -2335,14 +1422,5 @@ impl Simulation for YarnSim {
             YarnEvent::ChaosRecover(_) => "chaos_recover",
             YarnEvent::PressureTick => "pressure_tick",
         }
-    }
-}
-
-fn mean(iter: impl Iterator<Item = f64>) -> f64 {
-    let (sum, n) = iter.fold((0.0, 0usize), |(s, n), x| (s + x, n + 1));
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
     }
 }
