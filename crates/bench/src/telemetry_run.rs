@@ -117,7 +117,7 @@ pub fn run_instrumented(
     } else {
         run_trace_sim(scale, seed, opts)?
     };
-    emit(&telemetry, collector, opts)?;
+    write_outputs(&telemetry, collector, opts)?;
     Ok(true)
 }
 
@@ -242,7 +242,7 @@ pub fn analyze_trace_collector(path: &str, segments: bool) -> Result<SpanCollect
 /// Writes the time series (if requested), prints the registry table and
 /// engine throughput (if requested), and writes + prints the `cbp-obs`
 /// analysis report (if `--analyze` was given).
-fn emit(
+fn write_outputs(
     telemetry: &TelemetryReport,
     collector: Option<SharedCollector>,
     opts: &TelemetryOptions,

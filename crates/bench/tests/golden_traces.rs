@@ -15,8 +15,10 @@ use cbp_bench::experiments::google_setup;
 use cbp_bench::Scale;
 use cbp_core::{ClusterSim, PreemptionPolicy};
 use cbp_faults::FaultSpec;
+use cbp_simkit::SimDuration;
 use cbp_storage::MediaKind;
 use cbp_telemetry::JsonlTracer;
+use cbp_workload::analysis::PreemptionCollector;
 use cbp_workload::facebook::FacebookConfig;
 use cbp_yarn::{YarnConfig, YarnSim};
 
@@ -178,5 +180,58 @@ fn simulators_match_golden_digests() {
     assert!(
         matches,
         "golden digests changed; recomputed table:\n{table}"
+    );
+}
+
+/// Digest of the §2 preemption analysis of the kill-policy trace sim as
+/// `repro fig1 --scale smoke --seed 42` sets it up, optionally under a
+/// fault plan, with the 5 s detection window and `bucket_secs` timeline
+/// buckets.
+fn preemption_analysis(plan: Option<&str>, bucket_secs: u64) -> u64 {
+    let (workload, mut cfg) = google_setup(Scale::SMOKE, 42);
+    if let Some(spec) = spec(plan) {
+        cfg = cfg.with_faults(spec);
+    }
+    let collector = Rc::new(RefCell::new(PreemptionCollector::with_window(
+        &workload,
+        SimDuration::from_secs(5),
+        SimDuration::from_secs(bucket_secs),
+    )));
+    let mut sim = ClusterSim::new(cfg, workload);
+    sim.set_tracer(Box::new(Rc::clone(&collector)));
+    sim.run();
+    let analysis = collector.borrow().analysis();
+    fnv1a(
+        serde_json::to_string(&analysis)
+            .expect("analysis serializes")
+            .as_bytes(),
+    )
+}
+
+/// Recorded §2-analysis digests, `(scenario, analysis)`.
+#[rustfmt::skip]
+const EXPECTED_ANALYSIS: &[(&str, u64)] = &[
+    ("fig1-smoke/off/day", 0xe87c0461fff2d635),
+    ("fig1-smoke/chaos/day", 0xeda35054c51c2926),
+    ("fig1-smoke/off/hour", 0xed79ceddbf980e6d),
+];
+
+#[test]
+fn preemption_analysis_matches_golden_digests() {
+    let actual = [
+        ("fig1-smoke/off/day", preemption_analysis(None, 86_400)),
+        (
+            "fig1-smoke/chaos/day",
+            preemption_analysis(Some("chaos,seed=7,corrupt=0.3"), 86_400),
+        ),
+        ("fig1-smoke/off/hour", preemption_analysis(None, 3_600)),
+    ];
+    let table: String = actual
+        .iter()
+        .map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n"))
+        .collect();
+    assert!(
+        actual.as_slice() == EXPECTED_ANALYSIS,
+        "analysis digests changed; recomputed table:\n{table}"
     );
 }

@@ -20,8 +20,10 @@
 //!   one checkpoint/restore at a time; Algorithm 1's `queue_time` term comes
 //!   from that queue.
 //!
-//! The simulator runs any [`cbp_workload::Workload`], emits a §2-style
-//! [`cbp_workload::analysis::TraceLog`], and reports the paper's metrics
+//! The simulator runs any [`cbp_workload::Workload`], streams its task
+//! lifecycle as [`cbp_telemetry::TraceRecord`]s to the installed tracer
+//! (the §2 analysis is one such sink,
+//! [`cbp_workload::analysis::PreemptionCollector`]), and reports the paper's metrics
 //! (wasted CPU-hours, energy, per-band response times, CDFs, checkpoint
 //! CPU/I-O overheads) in a [`RunReport`].
 //!
@@ -47,6 +49,8 @@ mod sim;
 mod task;
 
 pub use config::{PreemptionPolicy, QueueDiscipline, RestorePlacement, SimConfig, VictimSelection};
-pub use metrics::{BandMetrics, ResponseSummary, RunMetrics, RunReport, TelemetryReport};
+pub use metrics::{
+    BandMetrics, ResponseSummary, RunMetrics, RunReport, RunTotals, TelemetryReport,
+};
 pub use sim::ClusterSim;
 pub use task::TaskStatus;

@@ -5,8 +5,7 @@ use std::collections::BTreeMap;
 use cbp_checkpoint::PlaneStats;
 use cbp_simkit::stats::Samples;
 use cbp_simkit::{SimDuration, SimTime};
-use cbp_telemetry::{MetricsRegistry, TimeSeries};
-use cbp_workload::analysis::TraceLog;
+use cbp_telemetry::{MetricsRegistry, StreamingQuantiles, TimeSeries};
 use cbp_workload::{LatencyClass, PriorityBand};
 use serde::Serialize;
 
@@ -250,19 +249,63 @@ impl TelemetryReport {
     }
 }
 
-/// A finished run: metrics plus the raw event trace (for §2-style analysis)
-/// and the response-time samples.
+/// A finished run: aggregate metrics and observability artifacts. The
+/// per-event record stream goes to the run's tracer (see
+/// [`crate::ClusterSim::set_tracer`]), from which the §2 analysis is
+/// derived by [`cbp_workload::analysis::PreemptionCollector`].
 #[derive(Debug)]
 pub struct RunReport {
     /// Human-readable run label (policy + medium).
     pub label: String,
     /// Aggregate metrics.
     pub metrics: RunMetrics,
-    /// The scheduler event log.
-    pub trace: TraceLog,
     /// Observability artifacts (registry snapshot, time series, engine
     /// throughput).
     pub telemetry: TelemetryReport,
+}
+
+/// The run-level totals both simulators (this crate's `ClusterSim` and
+/// the YARN analog) publish under the same registry names.
+#[derive(Debug, Clone, Copy)]
+pub struct RunTotals {
+    /// When the last event ran.
+    pub makespan: SimTime,
+    /// Cluster energy over the run.
+    pub energy_kwh: f64,
+    /// CPU-seconds of completed work.
+    pub useful_cpu_secs: f64,
+    /// CPU-seconds of work lost to kills.
+    pub kill_lost_cpu_secs: f64,
+    /// CPU-seconds spent dumping checkpoints.
+    pub dump_overhead_cpu_secs: f64,
+    /// CPU-seconds spent restoring checkpoints.
+    pub restore_overhead_cpu_secs: f64,
+}
+
+impl RunTotals {
+    /// Registers `scheduler.makespan_secs`, the `cpu.*` gauges,
+    /// `energy.total_kwh` and, if there are any responses, the
+    /// `scheduler.response_secs` quantiles. P² estimates depend on feed
+    /// order, so `responses` must come in the simulator's fixed order.
+    pub fn register(&self, reg: &mut MetricsRegistry, responses: impl IntoIterator<Item = f64>) {
+        reg.set_gauge("scheduler.makespan_secs", "s", self.makespan.as_secs_f64());
+        for (name, secs) in [
+            ("cpu.useful_hours", self.useful_cpu_secs),
+            ("cpu.kill_lost_hours", self.kill_lost_cpu_secs),
+            ("cpu.dump_overhead_hours", self.dump_overhead_cpu_secs),
+            ("cpu.restore_overhead_hours", self.restore_overhead_cpu_secs),
+        ] {
+            reg.set_gauge(name, "cpu-hours", secs / 3600.0);
+        }
+        reg.set_gauge("energy.total_kwh", "kWh", self.energy_kwh);
+        let mut quantiles = StreamingQuantiles::new();
+        for v in responses {
+            quantiles.observe(v);
+        }
+        if quantiles.count() > 0 {
+            reg.set_quantiles("scheduler.response_secs", "s", quantiles.snapshot());
+        }
+    }
 }
 
 /// Internal accumulator the simulator writes into.

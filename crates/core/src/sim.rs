@@ -16,14 +16,11 @@ use cbp_faults::FaultPlan;
 use cbp_simkit::{
     run_until_observed, EventQueue, RunStats, SimDuration, SimRng, SimTime, Simulation,
 };
-use cbp_telemetry::{
-    MetricsRegistry, NullTracer, PreemptAction, StreamingQuantiles, TimeSeries, TraceRecord, Tracer,
-};
-use cbp_workload::analysis::{TraceEvent, TraceEventKind, TraceLog};
+use cbp_telemetry::{MetricsRegistry, NullTracer, PreemptAction, TimeSeries, TraceRecord, Tracer};
 use cbp_workload::{Priority, PriorityBand, TaskSpec, Workload};
 
 use crate::config::{PreemptionPolicy, RestorePlacement, SimConfig, VictimSelection};
-use crate::metrics::{MetricsCollector, RunReport, TelemetryReport};
+use crate::metrics::{MetricsCollector, RunReport, RunTotals, TelemetryReport};
 use crate::task::{TaskState, TaskStatus};
 
 /// Periodic sim-time probe state (see [`ClusterSim::enable_sampling`]).
@@ -101,7 +98,6 @@ pub struct ClusterSim {
     pending: BTreeSet<PendingKey>,
     /// Checkpoint storage, recovery ladders and fault plan.
     plane: CheckpointPlane,
-    trace: TraceLog,
     metrics: MetricsCollector,
     rng: SimRng,
     next_container: u64,
@@ -206,7 +202,6 @@ impl ClusterSim {
                 tasks.push(TaskState::new(
                     spec,
                     job.priority,
-                    job.latency,
                     job_idx as u32,
                     job.submit,
                 ));
@@ -228,7 +223,6 @@ impl ClusterSim {
             nodes,
             tasks,
             pending: BTreeSet::new(),
-            trace: TraceLog::new(),
             metrics: MetricsCollector::default(),
             rng,
             next_container: 1,
@@ -343,7 +337,6 @@ impl ClusterSim {
         RunReport {
             label,
             metrics,
-            trace: self.trace,
             telemetry,
         }
     }
@@ -387,33 +380,20 @@ impl ClusterSim {
         reg.set_counter("dfs.blocks_repaired", "blocks", p.dfs_blocks_repaired);
         reg.set_counter("dfs.repair_bytes", "bytes", p.dfs_repair_bytes);
         reg.set_counter("dfs.blocks_lost", "blocks", p.dfs_blocks_lost);
-        reg.set_gauge("scheduler.makespan_secs", "s", makespan.as_secs_f64());
-        reg.set_gauge("cpu.useful_hours", "cpu-hours", m.useful_cpu_secs / 3600.0);
-        reg.set_gauge(
-            "cpu.kill_lost_hours",
-            "cpu-hours",
-            m.kill_lost_cpu_secs / 3600.0,
-        );
-        reg.set_gauge(
-            "cpu.dump_overhead_hours",
-            "cpu-hours",
-            m.dump_overhead_cpu_secs / 3600.0,
-        );
-        reg.set_gauge(
-            "cpu.restore_overhead_hours",
-            "cpu-hours",
-            m.restore_overhead_cpu_secs / 3600.0,
-        );
-        reg.set_gauge("energy.total_kwh", "kWh", energy_kwh);
-        let mut responses = StreamingQuantiles::new();
-        for samples in m.responses.values() {
-            for &v in samples.values() {
-                responses.observe(v);
-            }
+        RunTotals {
+            makespan,
+            energy_kwh,
+            useful_cpu_secs: m.useful_cpu_secs,
+            kill_lost_cpu_secs: m.kill_lost_cpu_secs,
+            dump_overhead_cpu_secs: m.dump_overhead_cpu_secs,
+            restore_overhead_cpu_secs: m.restore_overhead_cpu_secs,
         }
-        if responses.count() > 0 {
-            reg.set_quantiles("scheduler.response_secs", "s", responses.snapshot());
-        }
+        .register(
+            &mut reg,
+            m.responses
+                .values()
+                .flat_map(|s| s.values().iter().copied()),
+        );
         reg
     }
 
@@ -525,18 +505,6 @@ impl ClusterSim {
         };
         self.tasks[t as usize].status = TaskStatus::Pending;
         self.pending.insert((Reverse(prio), fair, seq, t));
-    }
-
-    fn emit(&mut self, now: SimTime, t: u32, kind: TraceEventKind) {
-        let task = &self.tasks[t as usize];
-        self.trace.push(TraceEvent {
-            time: now,
-            task: task.spec.id,
-            priority: task.priority,
-            latency: task.latency,
-            cpu_cores: task.spec.resources.cores_f64(),
-            kind,
-        });
     }
 
     fn update_meter(&mut self, node: usize, now: SimTime) {
@@ -727,13 +695,6 @@ impl ClusterSim {
             .expect("placement checked can_fit before allocating");
         self.update_meter(node, now);
         self.cancel_reservation(t);
-        self.emit(
-            now,
-            t,
-            TraceEventKind::Schedule {
-                machine: node as u32,
-            },
-        );
 
         let has_image = self.has_checkpoint(t);
         if self.trace_on {
@@ -841,13 +802,6 @@ impl ClusterSim {
         let lost = self.tasks[t as usize].progress_at_risk();
         let cores = self.tasks[t as usize].spec.resources.cores_f64();
         self.metrics.charge_kill(lost, cores);
-        self.emit(
-            now,
-            t,
-            TraceEventKind::Evict {
-                machine: node as u32,
-            },
-        );
         if self.trace_on {
             self.tracer.record(
                 now.as_micros(),
@@ -880,7 +834,6 @@ impl ClusterSim {
             _ => TaskStatus::Pending,
         };
         self.enqueue_pending_preserving_status(t);
-        self.emit(now, t, TraceEventKind::Submit);
     }
 
     /// `enqueue_pending` resets status to Pending; checkpointed tasks keep
@@ -917,13 +870,6 @@ impl ClusterSim {
                 self.metrics
                     .charge_dump(suspend.duration, cores, &mut unused, incremental);
                 self.nvram_origin.insert(t, node as u32);
-                self.emit(
-                    now,
-                    t,
-                    TraceEventKind::Evict {
-                        machine: node as u32,
-                    },
-                );
                 if self.trace_on {
                     self.tracer.record(
                         now.as_micros(),
@@ -1054,13 +1000,6 @@ impl ClusterSim {
             cores,
             &mut unused,
             dump.incremental,
-        );
-        self.emit(
-            now,
-            t,
-            TraceEventKind::Evict {
-                machine: node as u32,
-            },
         );
         if self.trace_on {
             self.tracer.record(
@@ -1409,13 +1348,6 @@ impl ClusterSim {
         let lost = self.tasks[t as usize].progress_at_risk();
         let cores = self.tasks[t as usize].spec.resources.cores_f64();
         self.metrics.charge_kill(lost, cores);
-        self.emit(
-            now,
-            t,
-            TraceEventKind::Evict {
-                machine: node as u32,
-            },
-        );
         if self.trace_on {
             self.tracer.record(
                 now.as_micros(),
@@ -1447,7 +1379,6 @@ impl ClusterSim {
             _ => TaskStatus::Pending,
         };
         self.enqueue_pending_preserving_status(t);
-        self.emit(now, t, TraceEventKind::Submit);
     }
 
     /// Credits a finished (or abandoned) drain of victim `v` to the
@@ -1479,7 +1410,6 @@ impl ClusterSim {
         }
         task.status = TaskStatus::Pending;
         self.enqueue_pending(t);
-        self.emit(now, t, TraceEventKind::Submit);
     }
 
     /// Handles the loss of task `t`'s image chain to an HDFS block loss
@@ -1549,13 +1479,6 @@ impl ClusterSim {
             self.metrics.failure_evictions += 1;
         }
         self.metrics.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
-        self.emit(
-            now,
-            t,
-            TraceEventKind::Evict {
-                machine: node as u32,
-            },
-        );
         if self.trace_on {
             self.tracer.record(
                 now.as_micros(),
@@ -1613,7 +1536,6 @@ impl ClusterSim {
             _ => TaskStatus::Pending,
         };
         self.enqueue_pending_preserving_status(t);
-        self.emit(now, t, TraceEventKind::Submit);
     }
 
     /// Takes a node down, evicting everything on it. `chaos` marks a
@@ -1741,11 +1663,6 @@ impl ClusterSim {
             }
         }
     }
-
-    /// Read-only access to the metrics-in-progress trace (for tests).
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
-    }
 }
 
 impl Simulation for ClusterSim {
@@ -1796,7 +1713,6 @@ impl ClusterSim {
             Event::JobSubmit(job_idx) => {
                 let range = self.task_handle_range(job_idx);
                 for t in range {
-                    self.emit(now, t as u32, TraceEventKind::Submit);
                     if self.trace_on {
                         let priority = self.tasks[t].priority.0;
                         self.tracer.record(
@@ -1821,7 +1737,6 @@ impl ClusterSim {
                 self.tasks[task as usize].sync_progress(now);
                 debug_assert!(self.tasks[task as usize].remaining().is_zero());
                 debug_assert!(now >= self.tasks[task as usize].submit);
-                self.emit(now, task, TraceEventKind::Finish);
                 if self.trace_on {
                     if let TaskStatus::Running { node, .. } = self.tasks[task as usize].status {
                         self.tracer.record(
@@ -1904,7 +1819,6 @@ impl ClusterSim {
                 task_state.status = TaskStatus::Checkpointed { origin: node };
                 self.credit_drain(task);
                 self.enqueue_pending_preserving_status(task);
-                self.emit(now, task, TraceEventKind::Submit);
                 self.schedule_pass(now, q);
             }
             Event::NodeFail(node) => {

@@ -1,9 +1,15 @@
 //! End-to-end behaviour of the trace-driven simulator on Google-like
 //! workloads.
 
-use cbp_core::{PreemptionPolicy, RestorePlacement, RunReport, SimConfig, VictimSelection};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use cbp_core::{
+    ClusterSim, PreemptionPolicy, RestorePlacement, RunReport, SimConfig, VictimSelection,
+};
 use cbp_storage::MediaKind;
-use cbp_workload::analysis::PreemptionAnalysis;
+use cbp_telemetry::JsonlTracer;
+use cbp_workload::analysis::PreemptionCollector;
 use cbp_workload::google::GoogleTraceConfig;
 use cbp_workload::{PriorityBand, Workload};
 
@@ -41,14 +47,33 @@ fn all_jobs_finish_under_every_policy() {
 
 #[test]
 fn deterministic_across_runs() {
-    let a = run(PreemptionPolicy::Adaptive, MediaKind::Hdd, 2);
-    let b = run(PreemptionPolicy::Adaptive, MediaKind::Hdd, 2);
+    let traced = || {
+        let trace = Rc::new(RefCell::new(JsonlTracer::new(Vec::new())));
+        let mut sim = ClusterSim::new(
+            small_cluster(PreemptionPolicy::Adaptive, MediaKind::Hdd),
+            contended_workload(2),
+        );
+        sim.set_tracer(Box::new(Rc::clone(&trace)));
+        let report = sim.run();
+        let bytes = Rc::try_unwrap(trace)
+            .ok()
+            .expect("the finished sim dropped its handle")
+            .into_inner()
+            .into_inner();
+        (report, bytes)
+    };
+    let (a, a_trace) = traced();
+    let (b, b_trace) = traced();
     assert_eq!(a.metrics.preemptions, b.metrics.preemptions);
     assert_eq!(a.metrics.checkpoints, b.metrics.checkpoints);
     assert_eq!(a.metrics.kills, b.metrics.kills);
     assert!((a.metrics.energy_kwh - b.metrics.energy_kwh).abs() < 1e-12);
     assert!((a.metrics.makespan_secs - b.metrics.makespan_secs).abs() < 1e-9);
-    assert_eq!(a.trace.len(), b.trace.len());
+    assert!(
+        a.metrics.preemptions > 0,
+        "the trace must cover preemptions"
+    );
+    assert!(a_trace == b_trace, "JSONL traces differ");
 }
 
 #[test]
@@ -162,8 +187,15 @@ fn incremental_reduces_dump_overhead() {
 /// band hardest.
 #[test]
 fn trace_analysis_shows_low_priority_preemption() {
-    let report = run(PreemptionPolicy::Kill, MediaKind::Ssd, 8);
-    let analysis = PreemptionAnalysis::analyze(&report.trace);
+    let workload = contended_workload(8);
+    let collector = Rc::new(RefCell::new(PreemptionCollector::new(&workload)));
+    let mut sim = ClusterSim::new(
+        small_cluster(PreemptionPolicy::Kill, MediaKind::Ssd),
+        workload,
+    );
+    sim.set_tracer(Box::new(Rc::clone(&collector)));
+    sim.run();
+    let analysis = collector.borrow().analysis();
     assert!(analysis.overall.preemptions > 0);
     let free = analysis.per_band[0].1;
     let prod = analysis.per_band[2].1;

@@ -15,8 +15,8 @@
 //!   on every task and property-tested against randomized scenarios on
 //!   both simulators.
 //! * **Aggregation** ([`report`]) — per-priority-band penalty summaries
-//!   (P² streaming quantiles via `cbp_simkit::stats`, exponential
-//!   penalty histograms via `cbp_telemetry::Histogram`), per-node
+//!   (P² streaming quantiles via `cbp_telemetry::StreamingQuantiles`,
+//!   exponential penalty histograms via `cbp_telemetry::Histogram`), per-node
 //!   dump/restore/eviction tallies, the top-K worst-penalized jobs, and
 //!   a robust-statistics anomaly pass flagging tasks whose eviction
 //!   count or restore latency is an outlier within their band.

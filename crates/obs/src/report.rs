@@ -9,8 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use cbp_simkit::stats::P2Quantile;
-use cbp_telemetry::{json, Histogram};
+use cbp_telemetry::{json, Histogram, StreamingQuantiles};
 
 use crate::span::{Band, Blame, SpanCollector};
 
@@ -223,9 +222,7 @@ struct BandAcc {
     finished: u64,
     blame: Blame,
     response_us: u64,
-    p50: P2Quantile,
-    p95: P2Quantile,
-    p99: P2Quantile,
+    penalty: StreamingQuantiles,
     hist: Histogram,
     evictions: Vec<f64>,
     restore_us: Vec<f64>,
@@ -239,9 +236,7 @@ impl BandAcc {
             finished: 0,
             blame: Blame::default(),
             response_us: 0,
-            p50: P2Quantile::new(0.5),
-            p95: P2Quantile::new(0.95),
-            p99: P2Quantile::new(0.99),
+            penalty: StreamingQuantiles::new(),
             hist: penalty_histogram(),
             evictions: Vec::new(),
             restore_us: Vec::new(),
@@ -301,9 +296,7 @@ impl ObsReport {
             acc.blame.accumulate(&span.blame);
             acc.response_us += response;
             let penalty = span.blame.penalty_us() as f64;
-            acc.p50.observe(penalty);
-            acc.p95.observe(penalty);
-            acc.p99.observe(penalty);
+            acc.penalty.observe(penalty);
             acc.hist.record(penalty);
             acc.evictions.push(span.evictions as f64);
             acc.restore_us.push(span.blame.restore_us as f64);
@@ -347,7 +340,7 @@ impl ObsReport {
         let bands = bands
             .into_iter()
             .map(|(band, acc)| {
-                let est = |q: &P2Quantile| q.estimate().unwrap_or(0.0);
+                let penalty = acc.penalty.snapshot();
                 let fin = acc.finished as f64;
                 let total = acc.blame.total_us();
                 BandSummary {
@@ -370,9 +363,9 @@ impl ObsReport {
                     } else {
                         0.0
                     },
-                    penalty_p50_us: est(&acc.p50),
-                    penalty_p95_us: est(&acc.p95),
-                    penalty_p99_us: est(&acc.p99),
+                    penalty_p50_us: penalty.p50,
+                    penalty_p95_us: penalty.p95,
+                    penalty_p99_us: penalty.p99,
                     penalty_hist: acc.hist,
                 }
             })

@@ -2,8 +2,6 @@
 
 use serde::Serialize;
 
-pub use crate::stats_p2::P2Quantile;
-
 /// Streaming mean / variance / min / max (Welford's algorithm).
 ///
 /// ```
@@ -242,76 +240,6 @@ impl Extend<f64> for Samples {
     }
 }
 
-/// A fixed-bin histogram over `[lo, hi)` with overflow/underflow buckets.
-///
-/// Used for the preemption-count distribution (Fig. 1c).
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    width: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal bins covering `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            width: (hi - lo) / bins as f64,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-            return;
-        }
-        let idx = ((x - self.lo) / self.width) as usize;
-        if idx >= self.bins.len() {
-            self.overflow += 1;
-        } else {
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Count in bin `i`.
-    pub fn bin(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Counts per bin.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the top of the range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of recorded observations.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,21 +321,6 @@ mod tests {
         assert_eq!(s.fraction_at_most(2.0), 0.5);
         assert_eq!(s.fraction_at_most(0.0), 0.0);
         assert_eq!(s.fraction_at_most(10.0), 1.0);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.5, 1.5, 1.9, 9.9, -1.0, 10.0, 25.0] {
-            h.record(x);
-        }
-        assert_eq!(h.bin(0), 1);
-        assert_eq!(h.bin(1), 2);
-        assert_eq!(h.bin(9), 1);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.bins().len(), 10);
     }
 
     #[test]

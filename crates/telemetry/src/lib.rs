@@ -17,7 +17,8 @@
 //!   `chrome://tracing` / Perfetto-compatible `trace.json` where nodes are
 //!   "threads" and dump/restore are duration events.
 //! * [`metrics`] — [`Counter`]/[`Gauge`] cells, a fixed-bucket
-//!   [`Histogram`], a P² [`StreamingQuantiles`] estimator, and a
+//!   [`Histogram`], the P² [`P2Quantile`] estimator and the
+//!   [`StreamingQuantiles`] p50/p95/p99 set built on it, and a
 //!   [`MetricsRegistry`] snapshot keyed `subsystem.metric` with unit
 //!   metadata, serializable to deterministic JSON and renderable as a table.
 //! * [`timeseries`] — a columnar [`TimeSeries`] the sims fill from a
@@ -44,6 +45,9 @@
 pub mod json;
 pub mod metrics;
 pub mod reader;
+mod stats_p2;
+#[cfg(test)]
+mod testutil;
 pub mod timeseries;
 pub mod trace;
 
@@ -55,6 +59,7 @@ pub use reader::{
     schema_header, JsonlReader, TraceReadError, TRACE_SCHEMA, TRACE_SCHEMA_MIN_VERSION,
     TRACE_SCHEMA_VERSION,
 };
+pub use stats_p2::P2Quantile;
 pub use timeseries::TimeSeries;
 pub use trace::{
     ChromeTraceTracer, JsonlTracer, MultiTracer, NullTracer, PreemptAction, TraceRecord, Tracer,

@@ -1,12 +1,13 @@
 //! The metrics registry: counters, gauges, fixed-bucket histograms and P²
-//! streaming quantiles, snapshotted into a `BTreeMap` keyed
-//! `subsystem.metric` with unit metadata.
+//! streaming quantiles (built on [`P2Quantile`]), snapshotted into a
+//! `BTreeMap` keyed `subsystem.metric` with unit metadata.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::json;
+use crate::P2Quantile;
 
 /// A monotonically increasing event count (single-threaded `Cell`; the
 /// simulators never share instruments across threads).
@@ -232,120 +233,9 @@ pub struct HistogramSnapshot {
     pub max: f64,
 }
 
-/// One P² (piecewise-parabolic) streaming quantile marker set — the Jain &
-/// Chlamtac (1985) estimator, the same algorithm as
-/// `cbp_simkit::stats_p2::P2Quantile`, re-implemented here so this crate
-/// stays dependency free.
-#[derive(Debug, Clone)]
-struct P2 {
-    p: f64,
-    heights: [f64; 5],
-    positions: [f64; 5],
-    desired: [f64; 5],
-    increments: [f64; 5],
-    count: usize,
-}
-
-impl P2 {
-    fn new(p: f64) -> Self {
-        assert!(p > 0.0 && p < 1.0, "quantile must be in (0, 1)");
-        P2 {
-            p,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-            increments: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-            count: 0,
-        }
-    }
-
-    fn observe(&mut self, x: f64) {
-        if self.count < 5 {
-            self.heights[self.count] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights
-                    .sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-            }
-            return;
-        }
-        self.count += 1;
-
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            for i in 0..4 {
-                if self.heights[i] <= x && x < self.heights[i + 1] {
-                    k = i;
-                    break;
-                }
-            }
-            k
-        };
-
-        for i in (k + 1)..5 {
-            self.positions[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.desired[i] += self.increments[i];
-        }
-
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right_gap = self.positions[i + 1] - self.positions[i];
-            let left_gap = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0) {
-                let d = d.signum();
-                let candidate = self.parabolic(i, d);
-                let new_height =
-                    if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                        candidate
-                    } else {
-                        self.linear(i, d)
-                    };
-                self.heights[i] = new_height;
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let q = &self.heights;
-        let n = &self.positions;
-        q[i] + d / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    fn estimate(&self) -> Option<f64> {
-        match self.count {
-            0 => None,
-            n if n < 5 => {
-                let mut sorted = self.heights;
-                let slice = &mut sorted[..n];
-                slice.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-                let idx = ((self.p * n as f64).ceil() as usize).clamp(1, n) - 1;
-                Some(slice[idx])
-            }
-            _ => Some(self.heights[2]),
-        }
-    }
-}
-
-/// Streaming p50/p95/p99 + max in O(1) memory — three P² markers plus a
-/// running maximum, for hot paths where storing every observation (as
-/// `cbp_simkit::stats::Samples` does) would be too heavy.
+/// Streaming p50/p95/p99 + max in O(1) memory — three [`P2Quantile`]s
+/// plus a running maximum, for hot paths where storing every observation
+/// (as `cbp_simkit::stats::Samples` does) would be too heavy.
 ///
 /// ```
 /// use cbp_telemetry::StreamingQuantiles;
@@ -359,11 +249,10 @@ impl P2 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamingQuantiles {
-    p50: P2,
-    p95: P2,
-    p99: P2,
+    p50: P2Quantile,
+    p95: P2Quantile,
+    p99: P2Quantile,
     max: f64,
-    count: u64,
 }
 
 impl Default for StreamingQuantiles {
@@ -376,11 +265,10 @@ impl StreamingQuantiles {
     /// Creates an empty estimator tracking p50/p95/p99.
     pub fn new() -> Self {
         StreamingQuantiles {
-            p50: P2::new(0.50),
-            p95: P2::new(0.95),
-            p99: P2::new(0.99),
+            p50: P2Quantile::new(0.50),
+            p95: P2Quantile::new(0.95),
+            p99: P2Quantile::new(0.99),
             max: f64::NEG_INFINITY,
-            count: 0,
         }
     }
 
@@ -393,22 +281,22 @@ impl StreamingQuantiles {
         self.p95.observe(x);
         self.p99.observe(x);
         self.max = self.max.max(x);
-        self.count += 1;
     }
 
     /// Number of observations so far.
     pub fn count(&self) -> u64 {
-        self.count
+        self.p50.count() as u64
     }
 
     /// Current estimates (zeros if empty).
     pub fn snapshot(&self) -> QuantileSnapshot {
+        let count = self.count();
         QuantileSnapshot {
             p50: self.p50.estimate().unwrap_or(0.0),
             p95: self.p95.estimate().unwrap_or(0.0),
             p99: self.p99.estimate().unwrap_or(0.0),
-            max: if self.count > 0 { self.max } else { 0.0 },
-            count: self.count,
+            max: if count > 0 { self.max } else { 0.0 },
+            count,
         }
     }
 }
@@ -649,29 +537,7 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Deterministic xorshift64* generator so the accuracy tests need no
-    /// external RNG crate.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next_f64(&mut self) -> f64 {
-            // xorshift64*
-            let mut x = self.0;
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            self.0 = x;
-            let v = x.wrapping_mul(0x2545F4914F6CDD1D);
-            (v >> 11) as f64 / (1u64 << 53) as f64
-        }
-
-        /// Exponential with the given mean, via inverse transform.
-        fn next_exp(&mut self, mean: f64) -> f64 {
-            let u = self.next_f64().max(1e-16);
-            -mean * u.ln()
-        }
-    }
+    use crate::testutil::{exact_quantile, Rng};
 
     #[test]
     fn counter_and_gauge_cells() {
@@ -749,14 +615,6 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn histogram_rejects_unsorted_bounds() {
         Histogram::new(&[2.0, 1.0]);
-    }
-
-    fn exact_quantile(sorted: &[f64], p: f64) -> f64 {
-        let pos = p * (sorted.len() - 1) as f64;
-        let i = pos.floor() as usize;
-        let frac = pos - i as f64;
-        let hi = sorted[(i + 1).min(sorted.len() - 1)];
-        sorted[i] * (1.0 - frac) + hi * frac
     }
 
     #[test]

@@ -1,14 +1,11 @@
 //! The P² (piecewise-parabolic) streaming quantile estimator of Jain &
 //! Chlamtac (1985): tracks a single quantile in O(1) memory without storing
-//! observations — useful when a full-scale trace produces millions of
-//! response times and the exact [`crate::stats::Samples`] set gets heavy.
-
-use serde::Serialize;
+//! observations. [`crate::StreamingQuantiles`] is three of them.
 
 /// Streaming estimator of one quantile.
 ///
 /// ```
-/// use cbp_simkit::stats::P2Quantile;
+/// use cbp_telemetry::P2Quantile;
 /// let mut q = P2Quantile::new(0.5);
 /// for i in 1..=1001 {
 ///     q.observe(i as f64);
@@ -16,7 +13,7 @@ use serde::Serialize;
 /// let median = q.estimate().unwrap();
 /// assert!((median - 501.0).abs() < 5.0);
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct P2Quantile {
     p: f64,
     /// Marker heights (the running order statistics).
@@ -138,7 +135,7 @@ impl P2Quantile {
     }
 
     /// The current quantile estimate (`None` until any observation; exact
-    /// for fewer than five).
+    /// for fewer than five: the order statistic at rank `ceil(p·n)`).
     pub fn estimate(&self) -> Option<f64> {
         match self.count {
             0 => None,
@@ -157,7 +154,7 @@ impl P2Quantile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{dist::Dist, SimRng};
+    use crate::testutil::{exact_quantile, Rng};
 
     #[test]
     fn exact_for_small_counts() {
@@ -236,10 +233,9 @@ mod tests {
     #[test]
     fn median_of_uniform_stream() {
         let mut q = P2Quantile::new(0.5);
-        let mut rng = SimRng::seed_from_u64(1);
-        let d = Dist::Uniform { lo: 0.0, hi: 100.0 };
+        let mut rng = Rng(1);
         for _ in 0..50_000 {
-            q.observe(d.sample(&mut rng));
+            q.observe(rng.next_f64() * 100.0);
         }
         let m = q.estimate().unwrap();
         assert!((m - 50.0).abs() < 2.0, "median estimate {m}");
@@ -249,10 +245,9 @@ mod tests {
     #[test]
     fn p90_of_exponential_stream() {
         let mut q = P2Quantile::new(0.9);
-        let mut rng = SimRng::seed_from_u64(2);
-        let d = Dist::Exp { mean: 10.0 };
+        let mut rng = Rng(2);
         for _ in 0..100_000 {
-            q.observe(d.sample(&mut rng));
+            q.observe(rng.next_exp(10.0));
         }
         // True p90 of Exp(mean 10) = -10 ln(0.1) ≈ 23.03.
         let p90 = q.estimate().unwrap();
@@ -261,18 +256,17 @@ mod tests {
 
     #[test]
     fn agrees_with_exact_samples() {
-        use crate::stats::Samples;
-        let mut rng = SimRng::seed_from_u64(3);
-        let d = Dist::log_normal_mean_cv(100.0, 1.0);
+        let mut rng = Rng(3);
         let mut p2 = P2Quantile::new(0.75);
-        let mut exact = Samples::new();
+        let mut exact = Vec::new();
         for _ in 0..30_000 {
-            let x = d.sample(&mut rng);
+            let x = rng.next_exp(100.0);
             p2.observe(x);
             exact.push(x);
         }
+        exact.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let approx = p2.estimate().unwrap();
-        let truth = exact.percentile(75.0).unwrap();
+        let truth = exact_quantile(&exact, 0.75);
         let rel = (approx - truth).abs() / truth;
         assert!(rel < 0.05, "p75 approx {approx} vs exact {truth}");
     }

@@ -11,9 +11,13 @@
 //!   `trace.json` where nodes are "threads" and dump/restore are duration
 //!   events.
 //!
-//! [`MultiTracer`] fans a single record stream out to several sinks.
+//! [`MultiTracer`] fans a single record stream out to several sinks, and
+//! an `Rc<RefCell<T>>` of any sink is itself a sink, so a caller can read
+//! a sink's results after the simulator that owned it has finished.
 
+use std::cell::RefCell;
 use std::io::Write;
+use std::rc::Rc;
 
 use crate::json;
 
@@ -1010,6 +1014,22 @@ impl Tracer for MultiTracer {
     }
 }
 
+/// A shared handle to a sink: the simulator owns the boxed handle while
+/// the caller keeps a clone to read the sink's results after the run.
+impl<T: Tracer> Tracer for Rc<RefCell<T>> {
+    fn enabled(&self) -> bool {
+        self.borrow().enabled()
+    }
+
+    fn record(&mut self, t_us: u64, rec: &TraceRecord) {
+        self.borrow_mut().record(t_us, rec);
+    }
+
+    fn finish(&mut self) {
+        self.borrow_mut().finish();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1317,5 +1337,25 @@ mod tests {
         assert_eq!(m.len(), 2);
         m.record(5, &TraceRecord::QueueDepth { pending: 3 });
         m.finish();
+    }
+
+    #[test]
+    fn shared_handle_forwards_to_its_sink() {
+        let sink = Rc::new(RefCell::new(JsonlTracer::new(Vec::new())));
+        assert!(!Rc::new(RefCell::new(NullTracer)).enabled());
+        let mut boxed: Box<dyn Tracer> = Box::new(Rc::clone(&sink));
+        assert!(boxed.enabled());
+        for (t, rec) in sample_stream() {
+            boxed.record(t, &rec);
+        }
+        boxed.finish();
+        drop(boxed);
+        let mut direct = JsonlTracer::new(Vec::new());
+        for (t, rec) in sample_stream() {
+            direct.record(t, &rec);
+        }
+        direct.finish();
+        let shared = Rc::try_unwrap(sink).ok().expect("sole owner").into_inner();
+        assert_eq!(shared.into_inner(), direct.into_inner());
     }
 }

@@ -4,8 +4,10 @@
 //! Cavdar et al.: *"if a higher priority task is scheduled on the same
 //! machine within five seconds after the lower priority job was evicted,
 //! then we count that the lower priority job was preempted due to preemptive
-//! scheduling."* [`PreemptionAnalysis::analyze`] applies exactly that rule
-//! to a scheduler event log and aggregates:
+//! scheduling."* [`PreemptionCollector`] applies exactly that rule to the
+//! scheduler's task-lifecycle records (`task_submit`, `task_schedule`,
+//! `task_evict`, `task_finish` in the [`TraceRecord`] stream) as they
+//! arrive, and [`PreemptionCollector::analysis`] aggregates:
 //!
 //! * preemption rate per priority band over time (Fig. 1a),
 //! * share of all preemptions per priority 0–11 (Fig. 1b),
@@ -14,90 +16,35 @@
 //!   (Table 2),
 //! * wasted CPU-hours between schedule and eviction (the "up to 35% of
 //!   total usage" estimate).
-
-use std::collections::HashMap;
+//!
+//! The collector is a [`Tracer`]: install it on a `ClusterSim` (through a
+//! shared `Rc<RefCell<_>>` handle, so the result can be read after the
+//! run) and it derives the analysis from the same record stream the JSONL
+//! trace is written from. Latency class and CPU demand are not in the
+//! stream; the collector takes them from the [`Workload`], whose tasks
+//! ClusterSim numbers densely in job order.
+//!
+//! ```
+//! use std::{cell::RefCell, rc::Rc};
+//! use cbp_telemetry::{TraceRecord, Tracer};
+//! use cbp_workload::analysis::PreemptionCollector;
+//! use cbp_workload::google::GoogleTraceConfig;
+//!
+//! let workload = GoogleTraceConfig::small(10.0).generate(1);
+//! let collector = Rc::new(RefCell::new(PreemptionCollector::new(&workload)));
+//! let mut tracer: Box<dyn Tracer> = Box::new(Rc::clone(&collector));
+//! tracer.record(0, &TraceRecord::TaskSchedule { task: 0, node: 3, restore: false });
+//! tracer.record(10_000_000, &TraceRecord::TaskFinish { task: 0, node: 3 });
+//! let analysis = collector.borrow().analysis();
+//! assert_eq!(analysis.overall.scheduled_tasks, 1);
+//! assert_eq!(analysis.overall.preemptions, 0);
+//! ```
 
 use cbp_simkit::{SimDuration, SimTime};
+use cbp_telemetry::{TraceRecord, Tracer};
 use serde::{Deserialize, Serialize};
 
-use crate::spec::{LatencyClass, Priority, PriorityBand, TaskId};
-
-/// What happened in one scheduler event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TraceEventKind {
-    /// Task submitted (or resubmitted after eviction).
-    Submit,
-    /// Task placed on a machine.
-    Schedule {
-        /// The machine index.
-        machine: u32,
-    },
-    /// Task evicted from a machine.
-    Evict {
-        /// The machine index.
-        machine: u32,
-    },
-    /// Task completed successfully.
-    Finish,
-}
-
-/// One scheduler event, in the shape of the Google trace's task-event table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TraceEvent {
-    /// Event time.
-    pub time: SimTime,
-    /// The task.
-    pub task: TaskId,
-    /// The task's priority.
-    pub priority: Priority,
-    /// The task's latency-sensitivity class.
-    pub latency: LatencyClass,
-    /// The task's CPU demand in cores (for waste accounting).
-    pub cpu_cores: f64,
-    /// Event kind.
-    pub kind: TraceEventKind,
-}
-
-/// An append-only, time-ordered event log.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TraceLog {
-    events: Vec<TraceEvent>,
-}
-
-impl TraceLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        TraceLog::default()
-    }
-
-    /// Appends an event.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if events go backwards in time.
-    pub fn push(&mut self, event: TraceEvent) {
-        debug_assert!(
-            self.events.last().is_none_or(|e| e.time <= event.time),
-            "trace events must be appended in time order"
-        );
-        self.events.push(event);
-    }
-
-    /// The events, in time order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if no events were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
+use crate::spec::{LatencyClass, Priority, PriorityBand, Workload};
 
 /// Per-category scheduled/preempted counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -166,130 +113,244 @@ fn band_index(p: Priority) -> usize {
     }
 }
 
-impl PreemptionAnalysis {
-    /// Runs the analysis with the paper's 5-second window and 1-day
-    /// timeline buckets.
-    pub fn analyze(log: &TraceLog) -> Self {
-        Self::analyze_with(
-            log,
+/// One task's static attributes and analysis state.
+#[derive(Debug)]
+struct TaskAcc {
+    priority: Priority,
+    latency: LatencyClass,
+    cores: f64,
+    scheduled: bool,
+    preemptions: u64,
+    /// Start of the current placement, if the task is on a machine.
+    running_since: Option<SimTime>,
+}
+
+/// An eviction whose detection window is still open.
+#[derive(Debug)]
+struct Eviction {
+    time: SimTime,
+    task: usize,
+}
+
+/// The counters the analysis reports.
+#[derive(Debug)]
+struct Tally {
+    per_priority: [GroupCounts; 12],
+    per_band: [GroupCounts; 3],
+    per_latency: [GroupCounts; 4],
+    overall: GroupCounts,
+    /// Per timeline bucket, per band: (scheduled, preempted).
+    timeline: Vec<[(u64, u64); 3]>,
+    wasted_secs: f64,
+    useful_secs: f64,
+}
+
+impl Tally {
+    /// The four groups `task` counts toward.
+    fn groups(&mut self, task: &TaskAcc) -> [&mut GroupCounts; 4] {
+        [
+            &mut self.per_priority[task.priority.0 as usize],
+            &mut self.per_band[band_index(task.priority)],
+            &mut self.per_latency[task.latency.0 as usize],
+            &mut self.overall,
+        ]
+    }
+}
+
+/// Streaming §2 analysis over the task-lifecycle records of a trace-sim
+/// run.
+///
+/// State is O(tasks) plus the evictions whose window is still open: each
+/// eviction waits in its machine's buffer until a strictly-higher-priority
+/// task is scheduled there strictly after it and within the window
+/// (counted as a preemption) or a later schedule on that machine falls
+/// outside the window (dropped).
+///
+/// CPU demand is the workload's declared per-task demand; ClusterSim
+/// clamps a demand larger than one node to the node's size, so waste for
+/// such tasks is counted at the declared size.
+///
+/// # Panics
+///
+/// [`Tracer::record`] panics on a lifecycle record whose task handle is
+/// not a task of the workload.
+#[derive(Debug)]
+pub struct PreemptionCollector {
+    window: SimDuration,
+    bucket_us: u64,
+    tasks: Vec<TaskAcc>,
+    /// Open evictions per machine, in time order.
+    evictions: Vec<Vec<Eviction>>,
+    tally: Tally,
+}
+
+impl PreemptionCollector {
+    /// A collector with the paper's 5-second window and 1-day timeline
+    /// buckets.
+    pub fn new(workload: &Workload) -> Self {
+        Self::with_window(
+            workload,
             SimDuration::from_secs(5),
             SimDuration::from_secs(86_400),
         )
     }
 
-    /// Runs the analysis with explicit detection window and timeline bucket
+    /// A collector with explicit detection window and timeline bucket
     /// size.
-    pub fn analyze_with(log: &TraceLog, window: SimDuration, bucket: SimDuration) -> Self {
-        // Index schedule events per machine for the window query.
-        let mut schedules_per_machine: HashMap<u32, Vec<(SimTime, Priority)>> = HashMap::new();
-        for e in log.events() {
-            if let TraceEventKind::Schedule { machine } = e.kind {
-                schedules_per_machine
-                    .entry(machine)
-                    .or_default()
-                    .push((e.time, e.priority));
-            }
-        }
-
-        let mut per_priority = [GroupCounts::default(); 12];
-        let mut per_band_counts = [GroupCounts::default(); 3];
-        let mut per_latency = [GroupCounts::default(); 4];
-        let mut overall = GroupCounts::default();
-
-        let mut scheduled_seen: HashMap<TaskId, ()> = HashMap::new();
-        let mut preempt_counts: HashMap<TaskId, u64> = HashMap::new();
-        let mut last_schedule: HashMap<TaskId, SimTime> = HashMap::new();
-
-        let horizon = log.events().last().map(|e| e.time).unwrap_or(SimTime::ZERO);
-        let n_buckets = (horizon.as_micros() / bucket.as_micros().max(1)) as usize + 1;
-        let mut timeline: Vec<TimelineBucket> = (0..n_buckets)
-            .map(|i| TimelineBucket {
-                start: SimTime::from_micros(i as u64 * bucket.as_micros()),
-                per_band: [(0, 0); 3],
+    pub fn with_window(workload: &Workload, window: SimDuration, bucket: SimDuration) -> Self {
+        let tasks = workload
+            .jobs()
+            .iter()
+            .flat_map(|job| {
+                job.tasks.iter().map(|spec| TaskAcc {
+                    priority: job.priority,
+                    latency: job.latency,
+                    cores: spec.resources.cores_f64(),
+                    scheduled: false,
+                    preemptions: 0,
+                    running_since: None,
+                })
             })
             .collect();
-
-        let mut wasted_secs = 0.0f64;
-        let mut useful_secs = 0.0f64;
-
-        for e in log.events() {
-            let bidx = band_index(e.priority);
-            let bucket_idx = (e.time.as_micros() / bucket.as_micros().max(1)) as usize;
-            match e.kind {
-                TraceEventKind::Submit => {}
-                TraceEventKind::Schedule { .. } => {
-                    if scheduled_seen.insert(e.task, ()).is_none() {
-                        per_priority[e.priority.0 as usize].scheduled_tasks += 1;
-                        per_band_counts[bidx].scheduled_tasks += 1;
-                        per_latency[e.latency.0 as usize].scheduled_tasks += 1;
-                        overall.scheduled_tasks += 1;
-                    }
-                    timeline[bucket_idx].per_band[bidx].0 += 1;
-                    last_schedule.insert(e.task, e.time);
-                }
-                TraceEventKind::Evict { machine } => {
-                    // The 5-second criterion: a strictly-higher-priority task
-                    // scheduled on the same machine in (t, t + window].
-                    let preempted = schedules_per_machine
-                        .get(&machine)
-                        .map(|scheds| {
-                            let lo = scheds.partition_point(|(t, _)| *t <= e.time);
-                            scheds[lo..]
-                                .iter()
-                                .take_while(|(t, _)| *t <= e.time + window)
-                                .any(|(_, p)| *p > e.priority)
-                        })
-                        .unwrap_or(false);
-                    if preempted {
-                        let count = preempt_counts.entry(e.task).or_insert(0);
-                        *count += 1;
-                        if *count == 1 {
-                            per_priority[e.priority.0 as usize].preempted_tasks += 1;
-                            per_band_counts[bidx].preempted_tasks += 1;
-                            per_latency[e.latency.0 as usize].preempted_tasks += 1;
-                            overall.preempted_tasks += 1;
-                        }
-                        per_priority[e.priority.0 as usize].preemptions += 1;
-                        per_band_counts[bidx].preemptions += 1;
-                        per_latency[e.latency.0 as usize].preemptions += 1;
-                        overall.preemptions += 1;
-                        timeline[bucket_idx].per_band[bidx].1 += 1;
-                    }
-                    if let Some(t0) = last_schedule.remove(&e.task) {
-                        wasted_secs += e.time.since(t0).as_secs_f64() * e.cpu_cores;
-                    }
-                }
-                TraceEventKind::Finish => {
-                    if let Some(t0) = last_schedule.remove(&e.task) {
-                        useful_secs += e.time.since(t0).as_secs_f64() * e.cpu_cores;
-                    }
-                }
-            }
-        }
-
-        let mut histogram = [0u64; 10];
-        for &count in preempt_counts.values() {
-            let idx = (count.max(1) as usize - 1).min(9);
-            histogram[idx] += 1;
-        }
-
-        PreemptionAnalysis {
+        PreemptionCollector {
             window,
-            per_priority,
-            per_band: [
-                (PriorityBand::Free, per_band_counts[0]),
-                (PriorityBand::Middle, per_band_counts[1]),
-                (PriorityBand::Production, per_band_counts[2]),
-            ],
-            per_latency,
-            overall,
-            preemption_count_histogram: histogram,
-            timeline,
-            wasted_cpu_hours: wasted_secs / 3600.0,
-            useful_cpu_hours: useful_secs / 3600.0,
+            bucket_us: bucket.as_micros().max(1),
+            tasks,
+            evictions: Vec::new(),
+            tally: Tally {
+                per_priority: [GroupCounts::default(); 12],
+                per_band: [GroupCounts::default(); 3],
+                per_latency: [GroupCounts::default(); 4],
+                overall: GroupCounts::default(),
+                timeline: vec![[(0, 0); 3]],
+                wasted_secs: 0.0,
+                useful_secs: 0.0,
+            },
         }
     }
 
+    /// The analysis of every record seen so far.
+    pub fn analysis(&self) -> PreemptionAnalysis {
+        let mut histogram = [0u64; 10];
+        for task in self.tasks.iter().filter(|t| t.preemptions > 0) {
+            histogram[(task.preemptions as usize - 1).min(9)] += 1;
+        }
+        let t = &self.tally;
+        PreemptionAnalysis {
+            window: self.window,
+            per_priority: t.per_priority,
+            per_band: [
+                (PriorityBand::Free, t.per_band[0]),
+                (PriorityBand::Middle, t.per_band[1]),
+                (PriorityBand::Production, t.per_band[2]),
+            ],
+            per_latency: t.per_latency,
+            overall: t.overall,
+            preemption_count_histogram: histogram,
+            timeline: t
+                .timeline
+                .iter()
+                .enumerate()
+                .map(|(i, per_band)| TimelineBucket {
+                    start: SimTime::from_micros(i as u64 * self.bucket_us),
+                    per_band: *per_band,
+                })
+                .collect(),
+            wasted_cpu_hours: t.wasted_secs / 3600.0,
+            useful_cpu_hours: t.useful_secs / 3600.0,
+        }
+    }
+
+    /// The timeline bucket of `now`, extending the timeline to it: the
+    /// horizon is the last task-lifecycle record.
+    fn bucket(&mut self, now: SimTime) -> usize {
+        let idx = (now.as_micros() / self.bucket_us) as usize;
+        if idx >= self.tally.timeline.len() {
+            self.tally.timeline.resize(idx + 1, [(0, 0); 3]);
+        }
+        idx
+    }
+
+    fn on_schedule(&mut self, now: SimTime, task: usize, machine: usize) {
+        // Settle the machine's open evictions: a strictly-higher-priority
+        // task scheduled in (t, t + window] preempted the evicted one.
+        let priority = self.tasks[task].priority;
+        if let Some(open) = self.evictions.get_mut(machine) {
+            let (window, bucket_us) = (self.window, self.bucket_us);
+            let (tasks, tally) = (&mut self.tasks, &mut self.tally);
+            open.retain(|e| {
+                if now > e.time + window {
+                    return false;
+                }
+                let victim = &mut tasks[e.task];
+                if now <= e.time || priority <= victim.priority {
+                    return true;
+                }
+                victim.preemptions += 1;
+                let first = victim.preemptions == 1;
+                for g in tally.groups(victim) {
+                    g.preempted_tasks += first as u64;
+                    g.preemptions += 1;
+                }
+                let idx = (e.time.as_micros() / bucket_us) as usize;
+                tally.timeline[idx][band_index(victim.priority)].1 += 1;
+                false
+            });
+        }
+
+        let bucket = self.bucket(now);
+        let acc = &mut self.tasks[task];
+        if !acc.scheduled {
+            acc.scheduled = true;
+            for g in self.tally.groups(acc) {
+                g.scheduled_tasks += 1;
+            }
+        }
+        self.tally.timeline[bucket][band_index(acc.priority)].0 += 1;
+        acc.running_since = Some(now);
+    }
+
+    fn on_evict(&mut self, now: SimTime, task: usize, machine: usize) {
+        self.bucket(now);
+        if machine >= self.evictions.len() {
+            self.evictions.resize_with(machine + 1, Vec::new);
+        }
+        self.evictions[machine].push(Eviction { time: now, task });
+        let acc = &mut self.tasks[task];
+        if let Some(t0) = acc.running_since.take() {
+            self.tally.wasted_secs += now.since(t0).as_secs_f64() * acc.cores;
+        }
+    }
+
+    fn on_finish(&mut self, now: SimTime, task: usize) {
+        self.bucket(now);
+        let acc = &mut self.tasks[task];
+        if let Some(t0) = acc.running_since.take() {
+            self.tally.useful_secs += now.since(t0).as_secs_f64() * acc.cores;
+        }
+    }
+}
+
+impl Tracer for PreemptionCollector {
+    fn record(&mut self, t_us: u64, rec: &TraceRecord) {
+        let now = SimTime::from_micros(t_us);
+        match *rec {
+            TraceRecord::TaskSubmit { .. } => {
+                self.bucket(now);
+            }
+            TraceRecord::TaskSchedule { task, node, .. } => {
+                self.on_schedule(now, task as usize, node as usize)
+            }
+            TraceRecord::TaskEvict { task, node, .. } => {
+                self.on_evict(now, task as usize, node as usize)
+            }
+            TraceRecord::TaskFinish { task, .. } => self.on_finish(now, task as usize),
+            _ => {}
+        }
+    }
+}
+
+impl PreemptionAnalysis {
     /// Fig. 1b: each priority level's share of all preemption events.
     pub fn preemption_share_per_priority(&self) -> [f64; 12] {
         let total = self.overall.preemptions.max(1) as f64;
@@ -326,30 +387,78 @@ impl PreemptionAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::JobId;
+    use crate::spec::{JobId, JobSpec, TaskId, TaskSpec};
+    use cbp_cluster::Resources;
+    use cbp_simkit::units::ByteSize;
 
-    fn ev(secs: u64, job: u64, prio: u8, kind: TraceEventKind) -> TraceEvent {
-        TraceEvent {
-            time: SimTime::from_secs(secs),
-            task: TaskId {
-                job: JobId(job),
-                index: 0,
-            },
-            priority: Priority::new(prio),
-            latency: LatencyClass::new(0),
-            cpu_cores: 1.0,
-            kind,
-        }
+    /// One single-task, one-core, latency-class-0 job per priority; task
+    /// handle `i` is job `i`.
+    fn workload(priorities: &[u8]) -> Workload {
+        let jobs = priorities
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| JobSpec {
+                id: JobId(i as u64),
+                submit: SimTime::ZERO,
+                priority: Priority::new(p),
+                latency: LatencyClass::new(0),
+                tasks: vec![TaskSpec {
+                    id: TaskId {
+                        job: JobId(i as u64),
+                        index: 0,
+                    },
+                    resources: Resources::new_cores(1, ByteSize::from_gb(1)),
+                    duration: SimDuration::from_secs(1),
+                    dirty_rate_per_sec: 0.0,
+                }],
+            })
+            .collect();
+        Workload::new(jobs)
     }
+
+    enum Ev {
+        Schedule(u32),
+        Evict(u32),
+        Finish,
+    }
+
+    /// Feeds `(secs, task, event)` records to a collector with the
+    /// paper's window.
+    fn analyze(priorities: &[u8], events: &[(u64, u64, Ev)]) -> PreemptionAnalysis {
+        let mut c = PreemptionCollector::new(&workload(priorities));
+        for (secs, task, ev) in events {
+            let task = *task;
+            let rec = match *ev {
+                Ev::Schedule(node) => TraceRecord::TaskSchedule {
+                    task,
+                    node,
+                    restore: false,
+                },
+                Ev::Evict(node) => TraceRecord::TaskEvict {
+                    task,
+                    node,
+                    reason: "kill",
+                },
+                Ev::Finish => TraceRecord::TaskFinish { task, node: 0 },
+            };
+            c.record(secs * 1_000_000, &rec);
+        }
+        c.analysis()
+    }
+
+    use Ev::*;
 
     #[test]
     fn detects_preemption_within_window() {
-        let mut log = TraceLog::new();
-        log.push(ev(0, 1, 0, TraceEventKind::Schedule { machine: 0 }));
-        log.push(ev(100, 1, 0, TraceEventKind::Evict { machine: 0 }));
         // Higher-priority task scheduled 3 s later on the same machine.
-        log.push(ev(103, 2, 9, TraceEventKind::Schedule { machine: 0 }));
-        let a = PreemptionAnalysis::analyze(&log);
+        let a = analyze(
+            &[0, 9],
+            &[
+                (0, 0, Schedule(0)),
+                (100, 0, Evict(0)),
+                (103, 1, Schedule(0)),
+            ],
+        );
         assert_eq!(a.overall.preemptions, 1);
         assert_eq!(a.overall.preempted_tasks, 1);
         assert_eq!(a.per_band[0].1.preemptions, 1);
@@ -357,65 +466,99 @@ mod tests {
 
     #[test]
     fn ignores_eviction_outside_window() {
-        let mut log = TraceLog::new();
-        log.push(ev(0, 1, 0, TraceEventKind::Schedule { machine: 0 }));
-        log.push(ev(100, 1, 0, TraceEventKind::Evict { machine: 0 }));
-        log.push(ev(106, 2, 9, TraceEventKind::Schedule { machine: 0 }));
-        let a = PreemptionAnalysis::analyze(&log);
+        let a = analyze(
+            &[0, 9],
+            &[
+                (0, 0, Schedule(0)),
+                (100, 0, Evict(0)),
+                (106, 1, Schedule(0)),
+            ],
+        );
         assert_eq!(a.overall.preemptions, 0);
     }
 
     #[test]
+    fn window_end_is_inclusive_and_same_tick_is_excluded() {
+        let a = analyze(
+            &[0, 9, 0, 9],
+            &[
+                (0, 0, Schedule(0)),
+                (0, 2, Schedule(1)),
+                (100, 0, Evict(0)),
+                // Same tick as the eviction: not a successor.
+                (100, 1, Schedule(0)),
+                (100, 2, Evict(1)),
+                // Exactly at t + window: counts.
+                (105, 3, Schedule(1)),
+            ],
+        );
+        assert_eq!(a.overall.preemptions, 1);
+        assert_eq!(a.per_priority[0].preempted_tasks, 1);
+    }
+
+    #[test]
     fn ignores_equal_or_lower_priority_successor() {
-        let mut log = TraceLog::new();
-        log.push(ev(0, 1, 5, TraceEventKind::Schedule { machine: 0 }));
-        log.push(ev(100, 1, 5, TraceEventKind::Evict { machine: 0 }));
-        log.push(ev(101, 2, 5, TraceEventKind::Schedule { machine: 0 }));
-        log.push(ev(102, 3, 2, TraceEventKind::Schedule { machine: 0 }));
-        let a = PreemptionAnalysis::analyze(&log);
+        let a = analyze(
+            &[5, 5, 2],
+            &[
+                (0, 0, Schedule(0)),
+                (100, 0, Evict(0)),
+                (101, 1, Schedule(0)),
+                (102, 2, Schedule(0)),
+            ],
+        );
         assert_eq!(a.overall.preemptions, 0);
     }
 
     #[test]
     fn ignores_other_machines() {
-        let mut log = TraceLog::new();
-        log.push(ev(0, 1, 0, TraceEventKind::Schedule { machine: 0 }));
-        log.push(ev(100, 1, 0, TraceEventKind::Evict { machine: 0 }));
-        log.push(ev(101, 2, 9, TraceEventKind::Schedule { machine: 1 }));
-        let a = PreemptionAnalysis::analyze(&log);
+        let a = analyze(
+            &[0, 9],
+            &[
+                (0, 0, Schedule(0)),
+                (100, 0, Evict(0)),
+                (101, 1, Schedule(1)),
+            ],
+        );
         assert_eq!(a.overall.preemptions, 0);
     }
 
     #[test]
     fn repeated_preemption_histogram() {
-        let mut log = TraceLog::new();
+        let mut events = Vec::new();
         let mut t = 0;
-        // Task 1 preempted 3 times; task 2 once; task 3 twelve times.
-        for (job, times) in [(1u64, 3u32), (2, 1), (3, 12)] {
+        // Task 0 preempted 3 times; task 1 once; task 2 twelve times.
+        for (task, times) in [(0u64, 3u32), (1, 1), (2, 12)] {
             for _ in 0..times {
-                log.push(ev(t, job, 0, TraceEventKind::Schedule { machine: 0 }));
-                log.push(ev(t + 10, job, 0, TraceEventKind::Evict { machine: 0 }));
-                log.push(ev(t + 11, 99, 9, TraceEventKind::Schedule { machine: 0 }));
+                events.push((t, task, Schedule(0)));
+                events.push((t + 10, task, Evict(0)));
+                events.push((t + 11, 3, Schedule(0)));
                 t += 100;
             }
         }
-        let a = PreemptionAnalysis::analyze(&log);
-        assert_eq!(a.preemption_count_histogram[0], 1); // task 2: once
-        assert_eq!(a.preemption_count_histogram[2], 1); // task 1: 3 times
-        assert_eq!(a.preemption_count_histogram[9], 1); // task 3: >= 10
+        let a = analyze(&[0, 0, 0, 9], &events);
+        assert_eq!(a.preemption_count_histogram[0], 1); // task 1: once
+        assert_eq!(a.preemption_count_histogram[2], 1); // task 0: 3 times
+        assert_eq!(a.preemption_count_histogram[9], 1); // task 2: >= 10
         assert!((a.repeat_preemption_fraction() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn waste_accounting() {
-        let mut log = TraceLog::new();
-        // Task runs 100 s then evicted (preempted) -> 100 cpu-s wasted.
-        log.push(ev(0, 1, 0, TraceEventKind::Schedule { machine: 0 }));
-        log.push(ev(100, 1, 0, TraceEventKind::Evict { machine: 0 }));
-        log.push(ev(101, 2, 9, TraceEventKind::Schedule { machine: 0 }));
-        // Task 2 runs 300 s to completion -> useful.
-        log.push(ev(401, 2, 9, TraceEventKind::Finish));
-        let a = PreemptionAnalysis::analyze(&log);
+        let a = analyze(
+            &[0, 9],
+            &[
+                // Task 0 runs 100 s then is evicted (preempted) -> 100
+                // cpu-s wasted.
+                (0, 0, Schedule(0)),
+                (100, 0, Evict(0)),
+                (101, 1, Schedule(0)),
+                // Task 1 runs 300 s to completion -> useful.
+                (401, 1, Finish),
+                // An eviction with no open placement wastes nothing.
+                (402, 1, Evict(0)),
+            ],
+        );
         assert!((a.wasted_cpu_hours - 100.0 / 3600.0).abs() < 1e-9);
         assert!((a.useful_cpu_hours - 300.0 / 3600.0).abs() < 1e-9);
         assert!((a.waste_fraction() - 0.25).abs() < 1e-9);
@@ -423,14 +566,17 @@ mod tests {
 
     #[test]
     fn scheduled_tasks_counted_once() {
-        let mut log = TraceLog::new();
-        log.push(ev(0, 1, 0, TraceEventKind::Schedule { machine: 0 }));
-        log.push(ev(10, 1, 0, TraceEventKind::Evict { machine: 0 }));
-        log.push(ev(11, 2, 9, TraceEventKind::Schedule { machine: 0 }));
-        log.push(ev(20, 1, 0, TraceEventKind::Schedule { machine: 1 }));
-        log.push(ev(500, 1, 0, TraceEventKind::Finish));
-        let a = PreemptionAnalysis::analyze(&log);
-        // Task 1 scheduled twice but counted once.
+        let a = analyze(
+            &[0, 9],
+            &[
+                (0, 0, Schedule(0)),
+                (10, 0, Evict(0)),
+                (11, 1, Schedule(0)),
+                (20, 0, Schedule(1)),
+                (500, 0, Finish),
+            ],
+        );
+        // Task 0 scheduled twice but counted once.
         assert_eq!(a.per_priority[0].scheduled_tasks, 1);
         assert_eq!(a.overall.scheduled_tasks, 2);
         assert!((a.per_band[0].1.preempted_fraction() - 1.0).abs() < 1e-12);
@@ -438,19 +584,42 @@ mod tests {
 
     #[test]
     fn timeline_buckets() {
-        let mut log = TraceLog::new();
-        log.push(ev(0, 1, 0, TraceEventKind::Schedule { machine: 0 }));
-        log.push(ev(90_000, 2, 0, TraceEventKind::Schedule { machine: 0 }));
-        let a = PreemptionAnalysis::analyze(&log);
+        let a = analyze(&[0, 0], &[(0, 0, Schedule(0)), (90_000, 1, Schedule(0))]);
         assert_eq!(a.timeline.len(), 2);
         assert_eq!(a.timeline[0].per_band[0].0, 1);
         assert_eq!(a.timeline[1].per_band[0].0, 1);
     }
 
     #[test]
+    fn horizon_is_the_last_lifecycle_record() {
+        let mut c = PreemptionCollector::new(&workload(&[0]));
+        c.record(
+            0,
+            &TraceRecord::TaskSchedule {
+                task: 0,
+                node: 0,
+                restore: false,
+            },
+        );
+        // Non-lifecycle records do not extend the timeline.
+        c.record(200_000_000_000, &TraceRecord::NodeUp { node: 0 });
+        assert_eq!(c.analysis().timeline.len(), 1);
+        c.record(
+            90_000_000_000,
+            &TraceRecord::TaskSubmit {
+                task: 0,
+                job: 0,
+                priority: 0,
+            },
+        );
+        assert_eq!(c.analysis().timeline.len(), 2);
+    }
+
+    #[test]
     fn empty_log() {
-        let a = PreemptionAnalysis::analyze(&TraceLog::new());
+        let a = analyze(&[], &[]);
         assert_eq!(a.overall.scheduled_tasks, 0);
+        assert_eq!(a.timeline.len(), 1);
         assert_eq!(a.waste_fraction(), 0.0);
         assert_eq!(a.repeat_preemption_fraction(), 0.0);
         assert_eq!(a.preemption_share_per_priority(), [0.0; 12]);

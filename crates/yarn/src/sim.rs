@@ -2,17 +2,14 @@
 
 use cbp_checkpoint::{CheckpointPlane, Criu, TaskView, Validation};
 use cbp_cluster::{Container, ContainerId, EnergyMeter, Node, NodeId};
-use cbp_core::PreemptionPolicy;
-use cbp_core::TelemetryReport;
+use cbp_core::{PreemptionPolicy, RunTotals, TelemetryReport};
 use cbp_dfs::DfsCluster;
 use cbp_faults::FaultPlan;
 use cbp_simkit::stats::Samples;
 use cbp_simkit::{
     run_until_observed, EventQueue, RunStats, SimDuration, SimRng, SimTime, Simulation,
 };
-use cbp_telemetry::{
-    MetricsRegistry, NullTracer, PreemptAction, StreamingQuantiles, TraceRecord, Tracer,
-};
+use cbp_telemetry::{MetricsRegistry, NullTracer, PreemptAction, TraceRecord, Tracer};
 use cbp_workload::{PriorityBand, Workload};
 
 use std::collections::HashMap;
@@ -410,38 +407,22 @@ impl YarnSim {
             "ops",
             self.apps.iter().filter(|a| a.finished_at.is_some()).count() as u64,
         );
-        reg.set_gauge("scheduler.makespan_secs", "s", makespan.as_secs_f64());
-        reg.set_gauge(
-            "cpu.useful_hours",
-            "cpu-hours",
-            self.useful_cpu_secs / 3600.0,
-        );
-        reg.set_gauge(
-            "cpu.kill_lost_hours",
-            "cpu-hours",
-            self.kill_lost_cpu_secs / 3600.0,
-        );
-        reg.set_gauge(
-            "cpu.dump_overhead_hours",
-            "cpu-hours",
-            self.dump_overhead_cpu_secs / 3600.0,
-        );
-        reg.set_gauge(
-            "cpu.restore_overhead_hours",
-            "cpu-hours",
-            self.restore_overhead_cpu_secs / 3600.0,
-        );
-        reg.set_gauge("energy.total_kwh", "kWh", energy_kwh);
-        let mut responses = StreamingQuantiles::new();
-        for &v in self.low_responses.values() {
-            responses.observe(v);
+        RunTotals {
+            makespan,
+            energy_kwh,
+            useful_cpu_secs: self.useful_cpu_secs,
+            kill_lost_cpu_secs: self.kill_lost_cpu_secs,
+            dump_overhead_cpu_secs: self.dump_overhead_cpu_secs,
+            restore_overhead_cpu_secs: self.restore_overhead_cpu_secs,
         }
-        for &v in self.high_responses.values() {
-            responses.observe(v);
-        }
-        if responses.count() > 0 {
-            reg.set_quantiles("scheduler.response_secs", "s", responses.snapshot());
-        }
+        .register(
+            &mut reg,
+            self.low_responses
+                .values()
+                .iter()
+                .chain(self.high_responses.values())
+                .copied(),
+        );
         reg
     }
 

@@ -130,21 +130,34 @@ fn fig8_waste_ordering() {
     );
 }
 
-/// Fig. 8c shape: checkpointing on NVM improves low-priority response while
-/// keeping high-priority response comparable to kill.
+/// Fig. 8c shape over a seed sweep: checkpointing on NVM improves
+/// low-priority response on at least 90% of the seeds and on the mean,
+/// while keeping high-priority response within 15% of kill on every seed.
 #[test]
 fn fig8_response_shape_on_nvm() {
-    let kill = run(PreemptionPolicy::Kill, MediaKind::Nvm, 4);
-    let chk = run(PreemptionPolicy::Checkpoint, MediaKind::Nvm, 4);
+    let seeds = 0..12u64;
+    let n = seeds.end - seeds.start;
+    let (mut wins, mut chk_low, mut kill_low) = (0u64, 0.0, 0.0);
+    for seed in seeds {
+        let w = workload(seed);
+        let kill = cluster(PreemptionPolicy::Kill, MediaKind::Nvm).run(&w);
+        let chk = cluster(PreemptionPolicy::Checkpoint, MediaKind::Nvm).run(&w);
+        wins += u64::from(chk.mean_low_response() < kill.mean_low_response());
+        chk_low += chk.mean_low_response();
+        kill_low += kill.mean_low_response();
+        let ratio = chk.mean_high_response() / kill.mean_high_response();
+        assert!(ratio < 1.15, "seed {seed}: high-priority ratio {ratio}");
+    }
     assert!(
-        chk.mean_low_response() < kill.mean_low_response(),
-        "chk low {} >= kill low {}",
-        chk.mean_low_response(),
-        kill.mean_low_response()
+        wins * 10 >= n * 9,
+        "checkpoint beat kill on low-priority response on only {wins}/{n} seeds"
     );
-    // High-priority within 15% of kill on NVM.
-    let ratio = chk.mean_high_response() / kill.mean_high_response();
-    assert!(ratio < 1.15, "high-priority ratio {ratio}");
+    assert!(
+        chk_low < kill_low,
+        "mean low-priority response: chk {} >= kill {}",
+        chk_low / n as f64,
+        kill_low / n as f64
+    );
 }
 
 /// Fig. 10: adaptive is at least as good as basic checkpointing for both

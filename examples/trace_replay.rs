@@ -1,17 +1,21 @@
 //! Trace replay + §2-style preemption analysis.
 //!
 //! Generates a Google-like trace, replays it through the kill-based
-//! scheduler (the status quo the paper argues against), then applies the
-//! paper's 5-second preemption-detection criterion to the emitted scheduler
-//! event log — reproducing the shape of Fig. 1 and Tables 1–2.
+//! scheduler (the status quo the paper argues against) while applying the
+//! paper's 5-second preemption-detection criterion to its task-lifecycle
+//! trace records as they stream out — reproducing the shape of Fig. 1 and
+//! Tables 1–2.
 //!
 //! ```text
 //! cargo run --release --example trace_replay [seed]
 //! ```
 
-use cbp::core::{PreemptionPolicy, SimConfig};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use cbp::core::{ClusterSim, PreemptionPolicy, SimConfig};
 use cbp::storage::MediaKind;
-use cbp::workload::analysis::PreemptionAnalysis;
+use cbp::workload::analysis::PreemptionCollector;
 use cbp::workload::google::GoogleTraceConfig;
 
 fn main() {
@@ -31,8 +35,11 @@ fn main() {
     );
 
     let config = SimConfig::trace_sim(PreemptionPolicy::Kill, MediaKind::Hdd).with_nodes(10);
-    let report = config.run(&workload);
-    let analysis = PreemptionAnalysis::analyze(&report.trace);
+    let collector = Rc::new(RefCell::new(PreemptionCollector::new(&workload)));
+    let mut sim = ClusterSim::new(config, workload);
+    sim.set_tracer(Box::new(Rc::clone(&collector)));
+    sim.run();
+    let analysis = collector.borrow().analysis();
 
     println!("\n-- Table 1: preemption per priority band (paper: 20.26 / 0.55 / 1.02 %)");
     for (band, counts) in &analysis.per_band {

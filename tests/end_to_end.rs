@@ -1,9 +1,12 @@
 //! Cross-crate integration tests: the two scheduling stacks, the substrates
 //! and the analyzer working together.
 
-use cbp::core::{PreemptionPolicy, SimConfig};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use cbp::core::{ClusterSim, PreemptionPolicy, SimConfig};
 use cbp::storage::MediaKind;
-use cbp::workload::analysis::PreemptionAnalysis;
+use cbp::workload::analysis::PreemptionCollector;
 use cbp::workload::facebook::FacebookConfig;
 use cbp::workload::google::GoogleTraceConfig;
 use cbp::yarn::YarnConfig;
@@ -80,10 +83,14 @@ fn stacks_agree_on_headline_claim() {
 #[test]
 fn trace_and_metrics_are_consistent() {
     let w = GoogleTraceConfig::small(300.0).generate(6);
-    let report = SimConfig::trace_sim(PreemptionPolicy::Kill, MediaKind::Ssd)
-        .with_nodes(6)
-        .run(&w);
-    let analysis = PreemptionAnalysis::analyze(&report.trace);
+    let collector = Rc::new(RefCell::new(PreemptionCollector::new(&w)));
+    let mut sim = ClusterSim::new(
+        SimConfig::trace_sim(PreemptionPolicy::Kill, MediaKind::Ssd).with_nodes(6),
+        w.clone(),
+    );
+    sim.set_tracer(Box::new(Rc::clone(&collector)));
+    let report = sim.run();
+    let analysis = collector.borrow().analysis();
     // Every simulator-counted eviction appears in the trace; the analyzer's
     // 5-second criterion may classify a subset as priority preemptions.
     assert!(analysis.overall.preemptions <= report.metrics.preemptions);
