@@ -274,6 +274,19 @@ fn write_outputs(
             telemetry.engine_wall_secs,
             telemetry.events_per_sec()
         );
+        if telemetry.passes > 0 {
+            println!(
+                "scheduler: {} passes, {} placements, {} pending visited ({:.2}/placement), \
+                 {} node probes, {} victim searches ({} memoized)",
+                telemetry.passes,
+                telemetry.placements,
+                telemetry.pending_visited,
+                telemetry.pending_visited as f64 / telemetry.placements.max(1) as f64,
+                telemetry.node_probes,
+                telemetry.victim_searches,
+                telemetry.victim_searches_memoized
+            );
+        }
     }
     if opts.analyze.is_some() || opts.wants_crit() {
         let collector = collector

@@ -236,6 +236,21 @@ pub struct TelemetryReport {
     pub engine_events: u64,
     /// Host wall-clock seconds the engine loop took.
     pub engine_wall_secs: f64,
+    /// Scheduling passes run (trace simulator; 0 for YARN). The scheduler
+    /// work counters below are exact and machine-independent. They stay
+    /// off the registry, whose digests pin the run's behaviour.
+    pub passes: u64,
+    /// Pending-queue entries a pass examined (the entries it skipped as
+    /// provable no-ops are not counted).
+    pub pending_visited: u64,
+    /// Per-node fit checks made while choosing a node.
+    pub node_probes: u64,
+    /// Victim searches charged to a pass's preemption budget.
+    pub victim_searches: u64,
+    /// Victim searches answered by the pass's memo of failed searches.
+    pub victim_searches_memoized: u64,
+    /// Tasks placed on a node (fresh starts and restores).
+    pub placements: u64,
 }
 
 impl TelemetryReport {

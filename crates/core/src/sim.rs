@@ -7,7 +7,7 @@
 //! according to the configured [`PreemptionPolicy`].
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use cbp_checkpoint::{CheckpointPlane, Criu, NvramCheckpointer, TaskView, Validation};
 use cbp_cluster::{Container, ContainerId, EnergyMeter, Node, NodeId, Resources};
@@ -19,9 +19,17 @@ use cbp_simkit::{
 use cbp_telemetry::{MetricsRegistry, NullTracer, PreemptAction, TimeSeries, TraceRecord, Tracer};
 use cbp_workload::{Priority, PriorityBand, TaskSpec, Workload};
 
-use crate::config::{PreemptionPolicy, RestorePlacement, SimConfig, VictimSelection};
+use crate::config::{
+    PreemptionPolicy, QueueDiscipline, RestorePlacement, SimConfig, VictimSelection,
+};
 use crate::metrics::{MetricsCollector, RunReport, RunTotals, TelemetryReport};
 use crate::task::{TaskState, TaskStatus};
+
+mod index;
+#[cfg(test)]
+mod linear;
+
+use index::{FitIndex, PendingQueue, QueueGroup};
 
 /// Periodic sim-time probe state (see [`ClusterSim::enable_sampling`]).
 struct Sampler {
@@ -73,10 +81,35 @@ pub enum Event {
     PressureTick,
 }
 
-/// Pending-queue key: highest priority first, then the discipline key
-/// (0 under FIFO; the task's index within its job under Fair, which
-/// interleaves jobs round-robin), then arrival order.
-type PendingKey = (Reverse<u8>, u64, u64, u32);
+/// Exact scheduler work counts of one run (reported on
+/// [`TelemetryReport`]).
+#[derive(Debug, Default)]
+struct SchedWork {
+    passes: u64,
+    pending_visited: u64,
+    node_probes: u64,
+    victim_searches: u64,
+    victim_searches_memoized: u64,
+    placements: u64,
+}
+
+/// What a victim search did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Preempted {
+    /// No victim set covers the demand (or a drain is already in flight
+    /// for the task); nothing changed.
+    Nothing,
+    /// Victims are draining into a fresh reservation.
+    Draining,
+    /// Every victim was killed: the space is free now.
+    Freed,
+}
+
+/// A victim search's inputs besides the cluster state: the searching
+/// task's priority, demand and eligible node (see
+/// [`ClusterSim::preempt_restrict`]). Two tasks without reservations of
+/// their own and with equal keys get the same answer from the same state.
+type SearchKey = (Priority, Resources, Option<usize>);
 
 struct NodeSlot {
     node: Node,
@@ -95,13 +128,19 @@ pub struct ClusterSim {
     workload: Workload,
     nodes: Vec<NodeSlot>,
     tasks: Vec<TaskState>,
-    pending: BTreeSet<PendingKey>,
+    /// Dense task-handle offsets: job `j` owns tasks
+    /// `job_start[j]..job_start[j + 1]`.
+    job_start: Vec<u32>,
+    pending: PendingQueue,
+    /// Per-node free capacity for the pass's fit-any test.
+    fit: FitIndex,
+    /// Scheduler work counters.
+    work: SchedWork,
     /// Checkpoint storage, recovery ladders and fault plan.
     plane: CheckpointPlane,
     metrics: MetricsCollector,
     rng: SimRng,
     next_container: u64,
-    next_seq: u64,
     /// Capacity earmarked for a blocked task while its victims drain:
     /// owner task → reservation. Prevents both duplicate preemption rounds
     /// and backfill stealing the capacity a dump is freeing.
@@ -122,6 +161,9 @@ pub struct ClusterSim {
     sampler: Option<Sampler>,
     /// Pending-queue depth after the previous event (for change records).
     last_queue_depth: usize,
+    /// Drive passes with the linear oracle instead of the indexes.
+    #[cfg(test)]
+    linear: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -195,7 +237,9 @@ impl ClusterSim {
 
         let mut tasks = Vec::with_capacity(workload.task_count());
         let mut job_remaining = Vec::with_capacity(workload.job_count());
+        let mut job_start = Vec::with_capacity(workload.job_count() + 1);
         for (job_idx, job) in workload.jobs().iter().enumerate() {
+            job_start.push(tasks.len() as u32);
             job_remaining.push(job.tasks.len() as u32);
             for spec in &job.tasks {
                 let spec = clamp_to_node(*spec, cfg.node_resources);
@@ -207,6 +251,19 @@ impl ClusterSim {
                 ));
             }
         }
+        job_start.push(tasks.len() as u32);
+        let pending = match cfg.queue_discipline {
+            QueueDiscipline::Fifo => PendingQueue::new(
+                workload
+                    .jobs()
+                    .iter()
+                    .map(|job| ((job.priority.0, 0), job.tasks.len() as u32)),
+            ),
+            QueueDiscipline::Fair => {
+                PendingQueue::new(tasks.iter().map(|t| (queue_group(&cfg, t), 1)))
+            }
+        };
+        let fit = FitIndex::new(n_nodes, cfg.node_resources);
 
         let mut criu = Criu::new(cfg.incremental);
         if let Some(compression) = cfg.compression {
@@ -222,11 +279,13 @@ impl ClusterSim {
             workload,
             nodes,
             tasks,
-            pending: BTreeSet::new(),
+            job_start,
+            pending,
+            fit,
+            work: SchedWork::default(),
             metrics: MetricsCollector::default(),
             rng,
             next_container: 1,
-            next_seq: 0,
             reservations: HashMap::new(),
             drain_owner: HashMap::new(),
             nvram_origin: HashMap::new(),
@@ -237,6 +296,8 @@ impl ClusterSim {
             trace_on: false,
             sampler: None,
             last_queue_depth: 0,
+            #[cfg(test)]
+            linear: false,
         }
     }
 
@@ -289,7 +350,6 @@ impl ClusterSim {
     /// Runs the workload to completion and returns the report.
     pub fn run(mut self) -> RunReport {
         let mut queue = EventQueue::with_capacity(self.tasks.len() * 2);
-        // Task handles are assigned in job order; find each job's first task.
         for (job_idx, job) in self.workload.jobs().iter().enumerate() {
             queue.push(job.submit, Event::JobSubmit(job_idx as u32));
         }
@@ -325,6 +385,12 @@ impl ClusterSim {
             timeseries: self.sampler.take().map(|s| s.series),
             engine_events: stats.events,
             engine_wall_secs: stats.wall.as_secs_f64(),
+            passes: self.work.passes,
+            pending_visited: self.work.pending_visited,
+            node_probes: self.work.node_probes,
+            victim_searches: self.work.victim_searches,
+            victim_searches_memoized: self.work.victim_searches_memoized,
+            placements: self.work.placements,
         };
         let metrics = self.metrics.into_metrics(
             makespan,
@@ -449,8 +515,8 @@ impl ClusterSim {
             busy.iter().sum::<f64>() / n as f64
         };
         let (mut free, mut middle, mut production) = (0u64, 0u64, 0u64);
-        for key in &self.pending {
-            match Priority(key.0 .0).band() {
+        for t in self.pending.tasks() {
+            match self.tasks[t as usize].priority.band() {
                 PriorityBand::Free => free += 1,
                 PriorityBand::Middle => middle += 1,
                 PriorityBand::Production => production += 1,
@@ -473,38 +539,43 @@ impl ClusterSim {
 
     // ---- helpers -------------------------------------------------------
 
-    fn task_handle_range(&self, job_idx: u32) -> std::ops::Range<usize> {
-        // Tasks were pushed in job order; compute the dense range.
-        let mut start = 0usize;
-        for (i, job) in self.workload.jobs().iter().enumerate() {
-            if i as u32 == job_idx {
-                return start..start + job.tasks.len();
-            }
-            start += job.tasks.len();
-        }
-        start..start
-    }
-
     fn enqueue_pending(&mut self, t: u32) {
-        // Re-queued (preempted) tasks keep their first sequence number, so
-        // they stay ahead of later same-priority arrivals and their images
-        // are restored — and discarded — promptly.
-        let seq = match self.tasks[t as usize].queue_seq {
-            Some(seq) => seq,
+        // Re-queued (preempted) tasks keep their first position, so they
+        // stay ahead of later same-priority arrivals and their images are
+        // restored — and discarded — promptly.
+        let pos = match self.tasks[t as usize].queue_pos {
+            Some(pos) => pos,
             None => {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.tasks[t as usize].queue_seq = Some(seq);
-                seq
+                let pos = self
+                    .pending
+                    .assign(queue_group(&self.cfg, &self.tasks[t as usize]), t);
+                self.tasks[t as usize].queue_pos = Some(pos);
+                pos
             }
-        };
-        let prio = self.tasks[t as usize].priority.0;
-        let fair = match self.cfg.queue_discipline {
-            crate::config::QueueDiscipline::Fifo => 0,
-            crate::config::QueueDiscipline::Fair => self.tasks[t as usize].spec.id.index as u64,
         };
         self.tasks[t as usize].status = TaskStatus::Pending;
-        self.pending.insert((Reverse(prio), fair, seq, t));
+        // Reservation owners stay queued until placed, so `t` owns none.
+        let ckpt = self.restore_draws_rng() && self.has_checkpoint(t);
+        self.pending.insert(pos, ckpt, &self.tasks);
+    }
+
+    /// Dequeues `t` (about to be placed).
+    fn dequeue(&mut self, t: u32) {
+        let pos = self.tasks[t as usize]
+            .queue_pos
+            .expect("queued tasks have a position");
+        self.pending.remove(pos, &self.tasks);
+    }
+
+    /// Refreshes the fit index's copy of node `i`'s availability.
+    fn sync_avail(&mut self, i: usize) {
+        self.fit.set_avail(i, self.nodes[i].node.available());
+    }
+
+    /// Sets whether node `i` is in service.
+    fn set_up(&mut self, i: usize, up: bool) {
+        self.nodes[i].up = up;
+        self.fit.invalidate();
     }
 
     fn update_meter(&mut self, node: usize, now: SimTime) {
@@ -542,13 +613,18 @@ impl ClusterSim {
         free.saturating_sub(&reserved)
     }
 
-    fn can_place(&self, i: usize, t: u32, demand: &Resources) -> bool {
+    /// One node probe of a placement decision.
+    fn can_place(&mut self, i: usize, t: u32, demand: &Resources) -> bool {
+        self.work.node_probes += 1;
         demand.fits_in(&self.free_for(i, t))
     }
 
     fn cancel_reservation(&mut self, t: u32) {
         if let Some(r) = self.reservations.remove(&t) {
             self.node_reserved[r.node] = self.node_reserved[r.node].saturating_sub(&r.amount);
+            self.fit.invalidate();
+            let pos = self.tasks[t as usize].queue_pos.expect("owners are queued");
+            self.pending.set_owner(pos, false, &self.tasks);
         }
     }
 
@@ -575,6 +651,14 @@ impl ClusterSim {
         }
     }
 
+    /// True if restore placement is cost-aware over the DFS, and so draws
+    /// a random probe start from the run's RNG on every call.
+    fn restore_draws_rng(&self) -> bool {
+        self.cfg.nvram.is_none()
+            && self.cfg.restore_placement != RestorePlacement::LocalOnly
+            && self.plane.has_dfs()
+    }
+
     /// Node holding `t`'s newest checkpoint (NVRAM mirror or image tip).
     fn checkpoint_origin(&self, t: u32) -> Option<u32> {
         if self.cfg.nvram.is_some() {
@@ -597,10 +681,7 @@ impl ClusterSim {
         // NVRAM mirrors live in the origin node's memory: restore is
         // inherently local. Same for local-FS CRIU and the LocalOnly
         // ablation.
-        if self.cfg.nvram.is_some()
-            || self.cfg.restore_placement == RestorePlacement::LocalOnly
-            || !self.plane.has_dfs()
-        {
+        if !self.restore_draws_rng() {
             return origin_fits.then_some(origin);
         }
 
@@ -693,6 +774,8 @@ impl ClusterSim {
             .node
             .allocate(Container::new(cid, demand, t as u64))
             .expect("placement checked can_fit before allocating");
+        self.sync_avail(node);
+        self.work.placements += 1;
         self.update_meter(node, now);
         self.cancel_reservation(t);
 
@@ -792,6 +875,7 @@ impl ClusterSim {
             .node
             .release(cid)
             .expect("container must be on its node");
+        self.sync_avail(node);
         self.update_meter(node, now);
     }
 
@@ -1177,19 +1261,10 @@ impl ClusterSim {
         cost
     }
 
-    /// Tries to free enough space for pending task `t` by preempting
-    /// lower-priority victims on the best node. Returns `true` if resources
-    /// were freed synchronously.
-    fn try_preempt_for(&mut self, t: u32, now: SimTime, q: &mut EventQueue<Event>) -> bool {
-        if self.reservations.contains_key(&t) {
-            return false; // a drain is already in flight for this task
-        }
-        let demand = self.tasks[t as usize].spec.resources;
-        let priority = self.tasks[t as usize].priority;
-
-        // For a checkpointed task under LocalOnly restore, only the origin
-        // node is eligible.
-        let restrict = match self.tasks[t as usize].status {
+    /// The only node a victim search for `t` may use: a checkpointed task
+    /// that must restore locally is pinned to its origin.
+    fn preempt_restrict(&self, t: u32) -> Option<usize> {
+        match self.tasks[t as usize].status {
             TaskStatus::Checkpointed { origin }
                 if self.cfg.restore_placement == RestorePlacement::LocalOnly
                     || !self.plane.has_dfs() =>
@@ -1197,7 +1272,27 @@ impl ClusterSim {
                 Some(origin as usize)
             }
             _ => None,
-        };
+        }
+    }
+
+    /// True while the linear test oracle drives the passes: it runs every
+    /// probe and search in full, without the indexed pass's shortcuts.
+    fn linear(&self) -> bool {
+        #[cfg(test)]
+        return self.linear;
+        #[cfg(not(test))]
+        false
+    }
+
+    /// Tries to free enough space for pending task `t` by preempting
+    /// lower-priority victims on the best node.
+    fn try_preempt_for(&mut self, t: u32, now: SimTime, q: &mut EventQueue<Event>) -> Preempted {
+        if self.reservations.contains_key(&t) {
+            return Preempted::Nothing; // a drain is already in flight for this task
+        }
+        let demand = self.tasks[t as usize].spec.resources;
+        let priority = self.tasks[t as usize].priority;
+        let restrict = self.preempt_restrict(t);
 
         let mut best: Option<(f64, usize, Vec<u32>)> = None;
         for i in 0..self.nodes.len() {
@@ -1225,6 +1320,17 @@ impl ClusterSim {
                     task.is_preemptible() && task.priority < priority
                 })
                 .collect();
+            // The greedy fill below fails exactly when all eligible victims
+            // together cannot cover `needed`: skip ranking them.
+            if !self.linear() {
+                let eligible: Resources = victims
+                    .iter()
+                    .map(|&v| self.tasks[v as usize].spec.resources)
+                    .sum();
+                if !needed.fits_in(&eligible) {
+                    continue;
+                }
+            }
             victims.sort_unstable();
             match self.cfg.victim_selection {
                 VictimSelection::CostAware => {
@@ -1267,7 +1373,7 @@ impl ClusterSim {
         }
 
         let Some((_, node, victims)) = best else {
-            return false;
+            return Preempted::Nothing;
         };
         let mut drains = 0u32;
         for v in victims {
@@ -1289,9 +1395,12 @@ impl ClusterSim {
                 },
             );
             self.node_reserved[node] += demand;
-            false
+            self.fit.invalidate();
+            let pos = self.tasks[t as usize].queue_pos.expect("owners are queued");
+            self.pending.set_owner(pos, true, &self.tasks);
+            Preempted::Draining
         } else {
-            true
+            Preempted::Freed
         }
     }
 
@@ -1546,7 +1655,7 @@ impl ClusterSim {
         if !self.nodes[node].up {
             return; // already down (stale event)
         }
-        self.nodes[node].up = false;
+        self.set_up(node, false);
         if self.trace_on {
             let rec = if chaos {
                 TraceRecord::NodeDown { node: node as u32 }
@@ -1591,76 +1700,198 @@ impl ClusterSim {
     }
 
     /// One scheduling pass: serve the pending queue in priority order.
+    ///
+    /// Makes exactly the decisions of a linear walk over every queued
+    /// entry (the `linear` test oracle; DESIGN.md §3.1 has the argument).
+    /// While victim-search budget remains every entry is visited. After
+    /// that the pass jumps to the next entry that can act; the entries it
+    /// jumps over still count against `max_schedule_scan`.
     fn schedule_pass(&mut self, now: SimTime, q: &mut EventQueue<Event>) {
+        #[cfg(test)]
+        if self.linear {
+            return self.schedule_pass_linear(now, q);
+        }
         let _prof = cbp_prof::scope("schedule_pass");
+        self.work.passes += 1;
+        let preempts = self.cfg.policy != PreemptionPolicy::Wait;
         let mut preempt_budget = self.cfg.preempt_budget_per_pass;
         let mut max_avail = self.max_available();
-        // Walk the pending set with a cursor instead of snapshotting it:
-        // passes fire on every event, and cloning thousands of keys per
-        // pass dominated profile time. Entries inserted behind the cursor
-        // (requeued preempted tasks) are picked up by the next pass.
-        let mut cursor: Option<PendingKey> = None;
+        // Victim searches that failed since the last state change: a failed
+        // search changes nothing, so an equal key fails again.
+        let mut failed: Vec<SearchKey> = Vec::new();
+        let mut lo = 0usize;
         let mut scanned = 0usize;
         loop {
-            let key = match cursor {
-                None => self.pending.iter().next().copied(),
-                Some(c) => self
-                    .pending
-                    .range((std::ops::Bound::Excluded(c), std::ops::Bound::Unbounded))
-                    .next()
-                    .copied(),
+            let next = if preempts && preempt_budget > 0 {
+                self.pending.first_at_or_after(lo)
+            } else {
+                self.refresh_fit();
+                let fit = &self.fit;
+                let next =
+                    self.pending
+                        .first_candidate(lo, &max_avail, |d| fit.fits_any(d), &self.tasks);
+                if let Some((pos, _)) = next {
+                    scanned += self.pending.count_range(lo, pos);
+                }
+                next
             };
-            let Some(key) = key else { break };
-            cursor = Some(key);
+            let Some((pos, t)) = next else { break };
             scanned += 1;
             if scanned > self.cfg.max_schedule_scan {
                 break;
             }
-            let t = key.3;
+            lo = pos + 1;
+            self.work.pending_visited += 1;
+            let pos = pos as u32;
             let demand = self.tasks[t as usize].spec.resources;
-            let fits_somewhere = demand.fits_in(&max_avail);
-            let node = if !fits_somewhere {
-                None
-            } else if self.has_checkpoint(t) {
-                self.choose_restore_node(t, now)
+            let node = if demand.fits_in(&max_avail) {
+                self.choose_node(t, pos, &demand, now)
             } else {
-                self.choose_fresh_node(t, &demand)
+                None
             };
-            match node {
-                Some(n) => {
-                    self.pending.remove(&key);
-                    self.place_task(t, n, now, q);
+            if let Some(n) = node {
+                self.dequeue(t);
+                self.place_task(t, n, now, q);
+                max_avail = self.max_available();
+                failed.clear();
+                continue;
+            }
+            // A reservation whose drains all completed but that still
+            // cannot be satisfied has failed its purpose; release the
+            // earmark so the task can try elsewhere.
+            if self.pending.is_owner(pos)
+                && self
+                    .reservations
+                    .get(&t)
+                    .is_some_and(|r| r.drains_left == 0)
+            {
+                self.cancel_reservation(t);
+                failed.clear();
+            }
+            if !preempts || preempt_budget == 0 {
+                continue;
+            }
+            preempt_budget -= 1;
+            self.work.victim_searches += 1;
+            let owner = self.pending.is_owner(pos);
+            let key = (
+                self.tasks[t as usize].priority,
+                demand,
+                self.preempt_restrict(t),
+            );
+            if !owner && failed.contains(&key) {
+                self.work.victim_searches_memoized += 1;
+                continue;
+            }
+            match self.try_preempt_for(t, now, q) {
+                Preempted::Nothing => {
+                    if !owner {
+                        failed.push(key);
+                    }
+                }
+                Preempted::Draining => failed.clear(),
+                Preempted::Freed => {
+                    // Kills freed space synchronously: place now.
+                    failed.clear();
+                    if let Some(n) = self.choose_node(t, pos, &demand, now) {
+                        self.dequeue(t);
+                        self.place_task(t, n, now, q);
+                    }
                     max_avail = self.max_available();
                 }
-                None => {
-                    // A reservation whose drains all completed but that
-                    // still cannot be satisfied has failed its purpose;
-                    // release the earmark so the task can try elsewhere.
-                    if self
-                        .reservations
-                        .get(&t)
-                        .is_some_and(|r| r.drains_left == 0)
-                    {
-                        self.cancel_reservation(t);
-                    }
-                    if self.cfg.policy != PreemptionPolicy::Wait && preempt_budget > 0 {
-                        preempt_budget -= 1;
-                        if self.try_preempt_for(t, now, q) {
-                            // Kills freed space synchronously: place now.
-                            let node = if self.has_checkpoint(t) {
-                                self.choose_restore_node(t, now)
-                            } else {
-                                self.choose_fresh_node(t, &demand)
-                            };
-                            if let Some(n) = node {
-                                self.pending.remove(&key);
-                                self.place_task(t, n, now, q);
-                            }
-                            max_avail = self.max_available();
-                        }
-                    }
-                }
             }
+        }
+    }
+
+    /// Node choice for queued task `t` at queue position `pos`: the same
+    /// answer and side effects as the probe of the linear pass, but a
+    /// demand that fits no node costs no probe. For a checkpointed task
+    /// only the RNG draw its cost-aware placement would make is replayed.
+    fn choose_node(&mut self, t: u32, pos: u32, demand: &Resources, now: SimTime) -> Option<usize> {
+        self.refresh_fit();
+        // A reservation owner sees its own earmark as free: probe in full.
+        let owner = self.pending.is_owner(pos);
+        let fits = owner || self.fit.fits_any(demand);
+        // Queued tasks are checkpointed exactly when they hold a checkpoint.
+        let checkpointed = matches!(
+            self.tasks[t as usize].status,
+            TaskStatus::Checkpointed { .. }
+        );
+        debug_assert_eq!(checkpointed, self.has_checkpoint(t));
+        if checkpointed {
+            if fits {
+                return self.choose_restore_node(t, now);
+            }
+            if self.restore_draws_rng() {
+                let _ = self.rng.index(self.nodes.len());
+            }
+            return None;
+        }
+        if self.pending.is_ckpt(pos) {
+            self.pending.clear_ckpt(pos, &self.tasks);
+        }
+        let node = if fits {
+            self.choose_fresh_node(t, demand)
+        } else {
+            None
+        };
+        debug_assert!(
+            owner || node.is_some() == fits,
+            "fit index disagrees with the probe"
+        );
+        node
+    }
+
+    /// Brings the fit index's frontier up to date.
+    fn refresh_fit(&mut self) {
+        let nodes = &self.nodes;
+        self.fit.refresh(|i| nodes[i].up, &self.node_reserved);
+    }
+
+    /// Debug audit of the scheduler indexes, run after every event: the
+    /// pending index holds exactly the queued tasks, with exact
+    /// reservation flags and a checkpoint flag wherever a restore will
+    /// draw from the RNG, and every cached per-node free capacity equals
+    /// `Node::available()`.
+    #[cfg(debug_assertions)]
+    fn assert_index_consistent(&self) {
+        let nodes = &self.nodes;
+        self.fit.assert_consistent(
+            |i| nodes[i].node.available(),
+            |i| nodes[i].up,
+            &self.node_reserved,
+        );
+        self.pending.assert_consistent(&self.tasks);
+        let mut queued = 0usize;
+        for (t, task) in self.tasks.iter().enumerate() {
+            // Tasks of jobs not yet submitted have no position.
+            let Some(pos) = task.queue_pos else { continue };
+            let flags = self.pending.flags(pos);
+            let waiting = matches!(
+                task.status,
+                TaskStatus::Pending | TaskStatus::Checkpointed { .. }
+            );
+            assert_eq!(flags.is_some(), waiting, "task {t} ({:?})", task.status);
+            let Some((owner, ckpt)) = flags else { continue };
+            queued += 1;
+            let t = t as u32;
+            assert_eq!(
+                owner,
+                self.reservations.contains_key(&t),
+                "task {t} owner flag"
+            );
+            assert!(
+                ckpt || !(self.restore_draws_rng() && self.has_checkpoint(t)),
+                "task {t} restores through an RNG draw but is not flagged"
+            );
+        }
+        assert_eq!(queued, self.pending.len(), "pending count");
+        for owner in self.reservations.keys() {
+            let pos = self.tasks[*owner as usize].queue_pos;
+            assert!(
+                pos.and_then(|p| self.pending.flags(p)).is_some(),
+                "reservation owner {owner} is not queued"
+            );
         }
     }
 }
@@ -1676,7 +1907,10 @@ impl Simulation for ClusterSim {
         }
         self.dispatch(now, event, q);
         #[cfg(debug_assertions)]
-        self.plane.assert_image_conservation(now);
+        {
+            self.plane.assert_image_conservation(now);
+            self.assert_index_consistent();
+        }
         let depth = self.pending.len();
         if self.trace_on && depth != self.last_queue_depth {
             self.tracer.record(
@@ -1711,8 +1945,11 @@ impl ClusterSim {
     fn dispatch(&mut self, now: SimTime, event: Event, q: &mut EventQueue<Event>) {
         match event {
             Event::JobSubmit(job_idx) => {
-                let range = self.task_handle_range(job_idx);
-                for t in range {
+                let (start, end) = (
+                    self.job_start[job_idx as usize],
+                    self.job_start[job_idx as usize + 1],
+                );
+                for t in start as usize..end as usize {
                     if self.trace_on {
                         let priority = self.tasks[t].priority.0;
                         self.tracer.record(
@@ -1875,7 +2112,7 @@ impl ClusterSim {
                 if self.nodes[node as usize].up {
                     return; // stale (never expected, but harmless)
                 }
-                self.nodes[node as usize].up = true;
+                self.set_up(node as usize, true);
                 // Re-registration: the datanode rejoins empty (its blocks
                 // were re-replicated or lost at crash time).
                 self.plane.recover_datanode(node as usize);
@@ -1886,7 +2123,7 @@ impl ClusterSim {
                 self.schedule_pass(now, q);
             }
             Event::NodeRecover(node) => {
-                self.nodes[node as usize].up = true;
+                self.set_up(node as usize, true);
                 // The datanode rejoins empty (its blocks were already
                 // re-replicated or lost at failure time).
                 self.plane.recover_datanode(node as usize);
@@ -2001,6 +2238,15 @@ impl ClusterSim {
             }
         }
     }
+}
+
+/// Task `t`'s queue group under `cfg`'s discipline.
+fn queue_group(cfg: &SimConfig, t: &TaskState) -> QueueGroup {
+    let slot = match cfg.queue_discipline {
+        QueueDiscipline::Fifo => 0,
+        QueueDiscipline::Fair => t.spec.id.index as usize,
+    };
+    (t.priority.0, slot)
 }
 
 fn clamp_to_node(mut spec: TaskSpec, node: Resources) -> TaskSpec {

@@ -67,11 +67,11 @@ pub struct TaskState {
     pub mem_synced: SimTime,
     /// Times this task was preempted (killed or suspended).
     pub preemptions: u32,
-    /// The task's first pending-queue sequence number. Re-queued
-    /// (preempted) tasks keep it, so they resume ahead of later arrivals of
-    /// the same priority instead of parking their checkpoint images behind
-    /// a long fresh-task backlog.
-    pub queue_seq: Option<u64>,
+    /// The task's pending-queue position, fixed at its first enqueue.
+    /// Re-queued (preempted) tasks keep it, so they resume ahead of later
+    /// arrivals of the same priority instead of parking their checkpoint
+    /// images behind a long fresh-task backlog.
+    pub queue_pos: Option<u32>,
     /// Lazily created memory image (only checkpointing policies need it).
     pub memory: Option<TaskMemory>,
     /// When the task finished.
@@ -93,7 +93,7 @@ impl TaskState {
             run_started: SimTime::ZERO,
             mem_synced: SimTime::ZERO,
             preemptions: 0,
-            queue_seq: None,
+            queue_pos: None,
             memory: None,
             finished_at: None,
         }

@@ -104,20 +104,25 @@ fn checkpoint_policy_dumps_instead_of_killing() {
     assert!(report.metrics.dump_overhead_cpu_hours > 0.0);
 }
 
+/// Seeds the shape assertions below sweep: each must hold on every one.
+const SWEEP_SEEDS: std::ops::Range<u64> = 0..8;
+
 /// The paper's headline: checkpoint-based preemption wastes far less CPU
 /// than kill-based, on every medium (Fig. 3a).
 #[test]
 fn checkpointing_reduces_waste_on_all_media() {
-    let kill = run(PreemptionPolicy::Kill, MediaKind::Hdd, 4);
-    assert!(kill.metrics.wasted_cpu_hours() > 0.0);
-    for media in MediaKind::ALL {
-        let chk = run(PreemptionPolicy::Checkpoint, media, 4);
-        assert!(
-            chk.metrics.wasted_cpu_hours() < kill.metrics.wasted_cpu_hours(),
-            "{media}: chk waste {} >= kill waste {}",
-            chk.metrics.wasted_cpu_hours(),
-            kill.metrics.wasted_cpu_hours()
-        );
+    for seed in SWEEP_SEEDS {
+        let kill = run(PreemptionPolicy::Kill, MediaKind::Hdd, seed);
+        assert!(kill.metrics.wasted_cpu_hours() > 0.0, "seed {seed}");
+        for media in MediaKind::ALL {
+            let chk = run(PreemptionPolicy::Checkpoint, media, seed);
+            assert!(
+                chk.metrics.wasted_cpu_hours() < kill.metrics.wasted_cpu_hours(),
+                "seed {seed}, {media}: chk waste {} >= kill waste {}",
+                chk.metrics.wasted_cpu_hours(),
+                kill.metrics.wasted_cpu_hours()
+            );
+        }
     }
 }
 
@@ -125,23 +130,25 @@ fn checkpointing_reduces_waste_on_all_media() {
 /// HDD > SSD > NVM).
 #[test]
 fn faster_media_reduce_checkpoint_overhead() {
-    let hdd = run(PreemptionPolicy::Checkpoint, MediaKind::Hdd, 5);
-    let ssd = run(PreemptionPolicy::Checkpoint, MediaKind::Ssd, 5);
-    let nvm = run(PreemptionPolicy::Checkpoint, MediaKind::Nvm, 5);
     let overhead =
         |r: &RunReport| r.metrics.dump_overhead_cpu_hours + r.metrics.restore_overhead_cpu_hours;
-    assert!(
-        overhead(&hdd) > overhead(&ssd),
-        "HDD {} vs SSD {}",
-        overhead(&hdd),
-        overhead(&ssd)
-    );
-    assert!(
-        overhead(&ssd) > overhead(&nvm),
-        "SSD {} vs NVM {}",
-        overhead(&ssd),
-        overhead(&nvm)
-    );
+    for seed in SWEEP_SEEDS {
+        let hdd = run(PreemptionPolicy::Checkpoint, MediaKind::Hdd, seed);
+        let ssd = run(PreemptionPolicy::Checkpoint, MediaKind::Ssd, seed);
+        let nvm = run(PreemptionPolicy::Checkpoint, MediaKind::Nvm, seed);
+        assert!(
+            overhead(&hdd) > overhead(&ssd),
+            "seed {seed}: HDD {} vs SSD {}",
+            overhead(&hdd),
+            overhead(&ssd)
+        );
+        assert!(
+            overhead(&ssd) > overhead(&nvm),
+            "seed {seed}: SSD {} vs NVM {}",
+            overhead(&ssd),
+            overhead(&nvm)
+        );
+    }
 }
 
 /// Adaptive (Fig. 5): never slower than basic checkpointing for high

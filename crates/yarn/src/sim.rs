@@ -337,6 +337,8 @@ impl YarnSim {
             timeseries: None,
             engine_events: stats.events,
             engine_wall_secs: stats.wall.as_secs_f64(),
+            // The scheduler work counters cover the trace simulator.
+            ..TelemetryReport::default()
         };
         let report = YarnReport {
             label: format!("{}-{}", self.cfg.policy, self.cfg.media.kind()),
