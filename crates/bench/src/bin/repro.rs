@@ -176,9 +176,6 @@ fn main() {
             "--no-lifecycle" => {
                 telemetry.no_lifecycle = true;
             }
-            "--no-resume" => {
-                telemetry.no_resume = true;
-            }
             other => die(&format!("unknown argument: {other}")),
         }
         i += 1;
@@ -198,9 +195,6 @@ fn main() {
             "--no-lifecycle applies to the instrumented run; add a telemetry sink \
              (--trace-out/--chrome-trace/--timeseries/--telemetry/--analyze)",
         );
-    }
-    if telemetry.no_resume && telemetry.faults.is_none() {
-        die("--no-resume is an ablation of the fault plan's chunked resume; add --faults SPEC");
     }
 
     let experiments = if id == "all" {
@@ -502,7 +496,7 @@ fn usage() {
         "usage: repro <experiment-id|all> [--scale full|small|smoke|<0..1>] [--seed N] \
          [--md PATH] [--json PATH]\n\
          \x20            [--trace-out PATH] [--chrome-trace PATH] [--timeseries PATH] [--telemetry]\n\
-         \x20            [--analyze PATH] [--faults SPEC] [--no-lifecycle] [--no-resume]\n\
+         \x20            [--analyze PATH] [--faults SPEC] [--no-lifecycle]\n\
          \x20      repro analyze <trace.jsonl> [--report PATH] [--baseline PATH] [--tol-rel F] \
          [--tol-abs-us F]\n\
          \x20      repro bench [--matrix tiny|standard] [--scenario NAME]... [--reps N] \
@@ -537,12 +531,11 @@ fn usage() {
          \x20                      breaker-cooldown, breaker-decay\n\
          \x20                      pressure shrinks checkpoint stores and leaks reservations;\n\
          \x20                      keys: cap, leak, leak-gb, leak-window\n\
+         \x20                      integrity keys: chunk-mb=N, resume=true|false (resume=false\n\
+         \x20                      rewrites failed dumps from byte zero and makes corrupt\n\
+         \x20                      images total losses)\n\
          \x20 --no-lifecycle       disable the image-lifecycle ladder (GC -> evict -> spill)\n\
          \x20                      for the instrumented run (ablation baseline)\n\
-         \x20 --no-resume          disable chunked resumable transfers + targeted repair\n\
-         \x20                      (failed dumps rewrite from byte zero, corrupt images are\n\
-         \x20                      total losses; requires --faults; same as resume=false)\n\
-         \x20                      integrity keys on --faults: chunk-mb=N, resume=true|false\n\
          \n\
          offline analysis (replays a --trace-out file; byte-identical to --analyze,\n\
          also accepts --critical-path / --flamegraph-out / --what-if):\n\

@@ -6,12 +6,12 @@
 //!    hold for arbitrary image sizes and chunk sizes (proptest).
 //! 2. **Determinism** — the same `(simulation seed, fault plan)` pair
 //!    produces a byte-identical JSONL trace with resume enabled AND with
-//!    the `--no-resume` ablation, so integrity runs are exactly
+//!    the `resume=false` ablation, so integrity runs are exactly
 //!    replayable in both modes.
 //! 3. **Resume pays for itself** — under the heavy fault profile the
 //!    resume+prefix-restore machinery engages (resumed dumps, replica
 //!    re-fetches, chain truncations) and its retry overhead and scratch
-//!    restarts are no worse than the `--no-resume` ablation's.
+//!    restarts are no worse than the `resume=false` ablation's.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -42,7 +42,7 @@ impl std::io::Write for SharedBuf {
 }
 
 /// The heavy chaos profile with chunked resume on or off (the
-/// `--no-resume` ablation flips the same bit).
+/// `resume=false` ablation flips the same bit).
 fn heavy(plan_seed: u64, resume: bool) -> FaultSpec {
     FaultSpec {
         seed: plan_seed,
@@ -144,7 +144,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Both simulators replay byte-identically for the same
-    /// `(seed, plan)` with resume ON and with the `--no-resume`
+    /// `(seed, plan)` with resume ON and with the `resume=false`
     /// ablation — the chunk/corruption/refetch draws are stateless.
     #[test]
     fn resume_on_and_off_replay_byte_identically(
@@ -187,7 +187,7 @@ proptest! {
 /// (resumed dumps with real byte credit, corrupt restores recovered by
 /// replica re-fetch or prefix truncation), and — summed over several
 /// seeds so single-run scheduling noise washes out — its retry overhead
-/// and scratch restarts are no worse than the `--no-resume` ablation,
+/// and scratch restarts are no worse than the `resume=false` ablation,
 /// which rewrites every failed dump from byte zero and treats every
 /// corrupt image as a total loss.
 #[test]
@@ -227,7 +227,7 @@ fn cluster_heavy_faults_resume_no_worse_than_ablation() {
         assert_eq!(
             (m.resumed_dumps, m.chunk_refetches, m.chain_truncations),
             (0, 0, 0),
-            "--no-resume must disable chunked resume entirely"
+            "resume=false must disable chunked resume entirely"
         );
         for kind in ["resume_dump", "chunk_refetch", "chain_truncate"] {
             assert_eq!(kind_count(&bytes_off, kind), 0, "{kind} in ablation trace");
@@ -261,7 +261,7 @@ fn cluster_heavy_faults_resume_no_worse_than_ablation() {
 /// Heavy faults on the YARN simulator: resumed dumps engage with real
 /// byte credit, corrupt restores recover via replica re-fetch, prefix
 /// truncation or (last resort) an in-place scratch restart, every task
-/// still finishes, and the `--no-resume` ablation keeps the whole
+/// still finishes, and the `resume=false` ablation keeps the whole
 /// integrity ledger at zero.
 #[test]
 fn yarn_heavy_faults_engage_integrity_machinery() {
@@ -304,7 +304,7 @@ fn yarn_heavy_faults_engage_integrity_machinery() {
                 off.integrity_scratch_restarts
             ),
             (0, 0, 0, 0),
-            "--no-resume must keep the yarn integrity ledger at zero"
+            "resume=false must keep the yarn integrity ledger at zero"
         );
         for kind in ["resume_dump", "chunk_refetch", "chain_truncate"] {
             assert_eq!(kind_count(&bytes_off, kind), 0, "{kind} in ablation trace");

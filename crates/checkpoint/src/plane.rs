@@ -358,6 +358,25 @@ impl CheckpointPlane {
         None
     }
 
+    /// One window of the chaos crash schedule: the stateless oracle's
+    /// draw of which nodes that are `up` crash in the window starting at
+    /// `now`. Returns the window to tick again after, the crashed nodes'
+    /// downtime and the crashed nodes in ascending order, or `None`
+    /// without a crash schedule.
+    pub fn crash_draw(
+        &self,
+        now: SimTime,
+        up: impl Fn(usize) -> bool,
+    ) -> Option<(SimDuration, SimDuration, Vec<usize>)> {
+        let plan = self.plan.as_ref()?;
+        let c = plan.crash()?;
+        let widx = now.as_micros() / c.window.as_micros().max(1);
+        let crashed = (0..self.devices.len())
+            .filter(|&i| up(i) && plan.node_crashes(i as u32, widx))
+            .collect();
+        Some((c.window, c.downtime, crashed))
+    }
+
     /// One window of the pressure plan's leak schedule: reserves device
     /// bytes no image owns on every live node the oracle selects (never
     /// more than the device has free). Returns the window to tick again

@@ -2063,18 +2063,10 @@ impl ClusterSim {
                 self.schedule_pass(now, q);
             }
             Event::ChaosCrashTick => {
-                // One stateless oracle evaluation per window: which nodes
-                // crash in the window starting now?
-                let (window, downtime, crashed) = {
-                    let Some(plan) = self.plane.plan() else {
-                        return;
-                    };
-                    let Some(c) = plan.crash() else { return };
-                    let widx = now.as_micros() / c.window.as_micros().max(1);
-                    let crashed: Vec<usize> = (0..self.nodes.len())
-                        .filter(|&i| self.nodes[i].up && plan.node_crashes(i as u32, widx))
-                        .collect();
-                    (c.window, c.downtime, crashed)
+                let Some((window, downtime, crashed)) =
+                    self.plane.crash_draw(now, |i| self.nodes[i].up)
+                else {
+                    return;
                 };
                 for node in crashed {
                     self.fail_node(node, now, q, true);

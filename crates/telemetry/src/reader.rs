@@ -10,7 +10,7 @@
 use std::io::BufRead;
 
 use crate::json::{self, Value};
-use crate::trace::{PreemptAction, TraceRecord};
+use crate::trace::TraceRecord;
 
 /// Schema name carried by the JSONL header line.
 pub const TRACE_SCHEMA: &str = "cbp-trace";
@@ -94,7 +94,7 @@ impl std::error::Error for TraceReadError {}
 /// Strings outside the known vocabulary are leaked (they must live for
 /// `'static`); an analyzer reads each distinct reason/device name once, so
 /// the leak is bounded by the emitter's vocabulary size.
-fn intern(s: &str) -> &'static str {
+pub(crate) fn intern(s: &str) -> &'static str {
     const VOCAB: &[&str] = &[
         // preemption actions / policies / reasons
         "kill",
@@ -187,12 +187,14 @@ impl<R: BufRead> JsonlReader<R> {
         })
     }
 
-    fn parse_line(&self, line: &str) -> Result<(u64, TraceRecord), TraceReadError> {
+    /// Decodes one record line that already parsed as JSON (`None` if it
+    /// did not).
+    fn decode(&self, v: Option<Value>, line: &str) -> Result<(u64, TraceRecord), TraceReadError> {
         let err = |msg: String| TraceReadError::Parse {
             line: self.line_no,
             msg,
         };
-        let v = json::parse(line).ok_or_else(|| err(format!("invalid JSON: {line}")))?;
+        let v = v.ok_or_else(|| err(format!("invalid JSON: {line}")))?;
         let t_us = v
             .get("t_us")
             .and_then(Value::as_u64)
@@ -201,193 +203,7 @@ impl<R: BufRead> JsonlReader<R> {
             .get("event")
             .and_then(Value::as_str)
             .ok_or_else(|| err("missing event".into()))?;
-        let u = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| err(format!("{event}: missing u64 field {key:?}")))
-        };
-        let node32 = |key: &str| {
-            u(key).and_then(|x| {
-                u32::try_from(x).map_err(|_| err(format!("{event}: {key} exceeds u32")))
-            })
-        };
-        let b = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_bool)
-                .ok_or_else(|| err(format!("{event}: missing bool field {key:?}")))
-        };
-        let s = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_str)
-                .map(intern)
-                .ok_or_else(|| err(format!("{event}: missing string field {key:?}")))
-        };
-        let rec = match event {
-            "task_submit" => TraceRecord::TaskSubmit {
-                task: u("task")?,
-                job: u("job")?,
-                priority: u("priority")?.min(u8::MAX as u64) as u8,
-            },
-            "task_schedule" => TraceRecord::TaskSchedule {
-                task: u("task")?,
-                node: node32("node")?,
-                restore: b("restore")?,
-            },
-            "task_finish" => TraceRecord::TaskFinish {
-                task: u("task")?,
-                node: node32("node")?,
-            },
-            "task_evict" => TraceRecord::TaskEvict {
-                task: u("task")?,
-                node: node32("node")?,
-                reason: s("reason")?,
-            },
-            "preempt_decision" => TraceRecord::PreemptDecision {
-                victim: u("victim")?,
-                node: node32("node")?,
-                action: match s("action")? {
-                    "kill" => PreemptAction::Kill,
-                    "checkpoint" => PreemptAction::Checkpoint,
-                    other => return Err(err(format!("unknown preempt action {other:?}"))),
-                },
-                policy: s("policy")?,
-                reason: s("reason")?,
-            },
-            "dump_start" => TraceRecord::DumpStart {
-                task: u("task")?,
-                node: node32("node")?,
-                device: s("device")?,
-                bytes: u("bytes")?,
-                incremental: b("incremental")?,
-            },
-            "dump_done" => TraceRecord::DumpDone {
-                task: u("task")?,
-                node: node32("node")?,
-                start_us: u("start_us")?,
-            },
-            "dump_fallback" => TraceRecord::DumpFallback {
-                task: u("task")?,
-                node: node32("node")?,
-                reason: s("reason")?,
-            },
-            "dump_fail" => TraceRecord::DumpFail {
-                task: u("task")?,
-                node: node32("node")?,
-                attempt: u("attempt")?.min(u32::MAX as u64) as u32,
-                will_retry: b("will_retry")?,
-            },
-            "restore_fail" => TraceRecord::RestoreFail {
-                task: u("task")?,
-                node: node32("node")?,
-                attempt: u("attempt")?.min(u32::MAX as u64) as u32,
-                reason: s("reason")?,
-                will_retry: b("will_retry")?,
-            },
-            "am_escalate" => TraceRecord::AmEscalate {
-                task: u("task")?,
-                node: node32("node")?,
-                waited_us: u("waited_us")?,
-            },
-            "replication_repair" => TraceRecord::ReplicationRepair {
-                node: node32("node")?,
-                blocks: u("blocks")?,
-                bytes: u("bytes")?,
-            },
-            "restore_start" => TraceRecord::RestoreStart {
-                task: u("task")?,
-                node: node32("node")?,
-                origin: node32("origin")?,
-                device: s("device")?,
-                bytes: u("bytes")?,
-                remote: b("remote")?,
-            },
-            "restore_done" => TraceRecord::RestoreDone {
-                task: u("task")?,
-                node: node32("node")?,
-                start_us: u("start_us")?,
-            },
-            "node_fail" => TraceRecord::NodeFail {
-                node: node32("node")?,
-            },
-            "node_recover" => TraceRecord::NodeRecover {
-                node: node32("node")?,
-            },
-            "node_down" => TraceRecord::NodeDown {
-                node: node32("node")?,
-            },
-            "node_up" => TraceRecord::NodeUp {
-                node: node32("node")?,
-            },
-            "partition_start" => TraceRecord::PartitionStart {
-                rack: node32("rack")?,
-            },
-            "partition_end" => TraceRecord::PartitionEnd {
-                rack: node32("rack")?,
-            },
-            "breaker_open" => TraceRecord::BreakerOpen {
-                node: node32("node")?,
-                global: b("global")?,
-            },
-            "breaker_close" => TraceRecord::BreakerClose {
-                node: node32("node")?,
-                global: b("global")?,
-            },
-            "gc_pass" => TraceRecord::GcPass {
-                node: node32("node")?,
-                reclaimed: u("reclaimed")?,
-                chains: u("chains")?,
-            },
-            "image_evict" => TraceRecord::ImageEvict {
-                task: u("task")?,
-                node: node32("node")?,
-                bytes: u("bytes")?,
-            },
-            "image_spill" => TraceRecord::ImageSpill {
-                task: u("task")?,
-                node: node32("node")?,
-                origin: node32("origin")?,
-                bytes: u("bytes")?,
-            },
-            "no_space" => TraceRecord::NoSpace {
-                task: u("task")?,
-                node: node32("node")?,
-                wanted: u("wanted")?,
-            },
-            "chunk_done" => TraceRecord::ChunkDone {
-                task: u("task")?,
-                node: node32("node")?,
-                chunk: u("chunk")?,
-                total: u("total")?,
-            },
-            "chunk_corrupt" => TraceRecord::ChunkCorrupt {
-                task: u("task")?,
-                node: node32("node")?,
-                image: u("image")?,
-                chunk: u("chunk")?,
-            },
-            "chunk_refetch" => TraceRecord::ChunkRefetch {
-                task: u("task")?,
-                node: node32("node")?,
-                chunk: u("chunk")?,
-                ok: b("ok")?,
-            },
-            "resume_dump" => TraceRecord::ResumeDump {
-                task: u("task")?,
-                node: node32("node")?,
-                resumed_bytes: u("resumed_bytes")?,
-                total_bytes: u("total_bytes")?,
-            },
-            "chain_truncate" => TraceRecord::ChainTruncate {
-                task: u("task")?,
-                node: node32("node")?,
-                dropped: u("dropped")?,
-                kept: u("kept")?,
-            },
-            "queue_depth" => TraceRecord::QueueDepth {
-                pending: u("pending")?,
-            },
-            other => return Err(err(format!("unknown event {other:?}"))),
-        };
+        let rec = TraceRecord::decode(event, &v).map_err(err)?;
         Ok((t_us, rec))
     }
 }
@@ -410,7 +226,8 @@ impl<R: BufRead> Iterator for JsonlReader<R> {
             // Tolerate it — warn and end the stream — so an analyzer can
             // still consume everything the crashed run managed to flush.
             // Malformed *interior* lines (more lines follow) still error.
-            if json::parse(&line).is_none() {
+            let v = json::parse(&line);
+            if v.is_none() {
                 self.pending = self.lines.next();
                 if self.pending.is_none() {
                     eprintln!(
@@ -421,7 +238,7 @@ impl<R: BufRead> Iterator for JsonlReader<R> {
                     return None;
                 }
             }
-            return Some(self.parse_line(&line));
+            return Some(self.decode(v, &line));
         }
     }
 }
@@ -429,7 +246,7 @@ impl<R: BufRead> Iterator for JsonlReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{JsonlTracer, Tracer};
+    use crate::trace::{JsonlTracer, PreemptAction, Tracer};
 
     fn sample_stream() -> Vec<(u64, TraceRecord)> {
         vec![
@@ -654,6 +471,77 @@ mod tests {
         assert_eq!(read.len(), sample_stream().len());
         let second = write(&read);
         assert_eq!(first, second, "write → read → write must be byte-identical");
+    }
+
+    /// One record of every kind the table declares, each field at its
+    /// type's extreme (`u64::MAX` above 2^53, strings needing escapes).
+    #[test]
+    fn every_record_kind_round_trips_byte_identically() {
+        let mut names = TraceRecord::NAMES.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(
+            names.len(),
+            TraceRecord::NAMES.len(),
+            "duplicate event name"
+        );
+        let stream: Vec<(u64, TraceRecord)> = (0u64..)
+            .zip(TraceRecord::NAMES)
+            .map(|(t, &name)| {
+                let rec = TraceRecord::example(name).expect("every table name has an example");
+                assert_eq!(rec.name(), name);
+                (t, rec)
+            })
+            .collect();
+        let first = write(&stream);
+        let read: Vec<(u64, TraceRecord)> = JsonlReader::new(first.as_slice())
+            .expect("valid header")
+            .map(|r| r.expect("valid line"))
+            .collect();
+        let read_names: Vec<&str> = read.iter().map(|(_, rec)| rec.name()).collect();
+        assert_eq!(read_names, TraceRecord::NAMES);
+        assert_eq!(
+            write(&read),
+            first,
+            "write → read → write must be byte-identical"
+        );
+    }
+
+    #[test]
+    fn rejects_out_of_range_fields_with_line_numbers() {
+        let trace = format!(
+            "{}\n\
+             {{\"t_us\":1,\"event\":\"node_up\",\"node\":4294967295}}\n\
+             {{\"t_us\":2,\"event\":\"node_up\",\"node\":4294967296}}\n\
+             {{\"t_us\":3,\"event\":\"dump_fail\",\"task\":1,\"node\":2,\
+               \"attempt\":4294967296,\"will_retry\":true}}\n\
+             {{\"t_us\":4,\"event\":\"task_submit\",\"task\":1,\"job\":1,\"priority\":256}}\n",
+            schema_header()
+        );
+        let got: Vec<_> = JsonlReader::new(trace.as_bytes()).unwrap().collect();
+        assert!(matches!(
+            got[0],
+            Ok((1, TraceRecord::NodeUp { node: u32::MAX }))
+        ));
+        for (i, (line, field, kind)) in [
+            (3, "node", "u32"),
+            (4, "attempt", "u32"),
+            (5, "priority", "u8"),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            match &got[i + 1] {
+                Err(TraceReadError::Parse { line: l, msg }) => {
+                    assert_eq!(*l, line, "{msg}");
+                    assert!(
+                        msg.contains(&format!("{field:?}")) && msg.ends_with(kind),
+                        "line {line}: {msg}"
+                    );
+                }
+                other => panic!("line {line}: expected a range error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@ use std::cell::RefCell;
 use std::io::Write;
 use std::rc::Rc;
 
-use crate::json;
+use crate::json::{self, Value};
+use crate::reader::intern;
 
 /// What a preemption decision resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,679 +40,503 @@ impl PreemptAction {
     }
 }
 
-/// A typed, sim-time-stamped trace record.
-///
-/// All fields are `Copy` (strings are `&'static str`) so simulators can
-/// construct records inline without fighting the borrow checker, and so
-/// tracing a record can never allocate when the tracer is disabled.
-///
-/// Timestamps are *not* part of the record: they are passed separately to
-/// [`Tracer::record`] as integer microseconds of simulated time.
-#[derive(Debug, Clone, Copy)]
-pub enum TraceRecord {
-    /// A task entered the pending queue.
-    TaskSubmit {
-        /// Task id (simulator-scoped).
-        task: u64,
-        /// Owning job id.
-        job: u64,
-        /// Scheduler priority (0..=11 in the Google trace).
-        priority: u8,
-    },
-    /// A task was placed on a node and started (or resumed) running.
-    TaskSchedule {
-        /// Task id.
-        task: u64,
-        /// Node the task was placed on.
-        node: u32,
-        /// True if the task resumes from a checkpoint image.
-        restore: bool,
-    },
-    /// A task ran to completion.
-    TaskFinish {
-        /// Task id.
-        task: u64,
-        /// Node the task finished on.
-        node: u32,
-    },
-    /// A task was evicted from its node (killed, dumped, or failed).
-    TaskEvict {
-        /// Task id.
-        task: u64,
-        /// Node the task was evicted from.
-        node: u32,
-        /// Why the eviction happened. Vocabulary: `"kill"` (scheduler
-        /// kill), `"dump"` (checkpoint-then-evict), `"dump-fail"`
-        /// (eviction after a failed dump), `"node-fail"` (the host
-        /// died organically, MTBF model), `"node-crash"` (a chaos-plan
-        /// crash took the host down), and `"am-escalate"` (YarnSim: the
-        /// application master ignored the graceful-preemption deadline
-        /// and the RM forced the kill). Analyzers treat every reason
-        /// except `"dump"` as a hard kill for lost-work accounting.
-        reason: &'static str,
-    },
-    /// The scheduler chose what to do with a preemption victim.
-    PreemptDecision {
-        /// Victim task id.
-        victim: u64,
-        /// Node the victim runs on.
-        node: u32,
-        /// The resolved action.
-        action: PreemptAction,
-        /// Configured policy name (e.g. `"kill"`, `"checkpoint"`,
-        /// `"adaptive"`).
-        policy: &'static str,
-        /// Why this action was chosen (e.g. `"policy"`,
-        /// `"progress-at-risk"`).
-        reason: &'static str,
-    },
-    /// A checkpoint dump started.
-    DumpStart {
-        /// Task being dumped.
-        task: u64,
-        /// Node the dump runs on.
-        node: u32,
-        /// Target device (e.g. `"hdd"`, `"ssd"`, `"nvm"`).
-        device: &'static str,
-        /// Bytes to be written.
-        bytes: u64,
-        /// True for an incremental (pre-dump-based) dump.
-        incremental: bool,
-    },
-    /// A checkpoint dump finished.
-    DumpDone {
-        /// Task that was dumped.
-        task: u64,
-        /// Node the dump ran on.
-        node: u32,
-        /// Sim time (µs) the matching [`TraceRecord::DumpStart`] carried.
-        start_us: u64,
-    },
-    /// A dump could not proceed and the victim fell back to a kill.
-    DumpFallback {
-        /// Task that fell back.
-        task: u64,
-        /// Node involved.
-        node: u32,
-        /// Why the fallback happened. Vocabulary: `"no-capacity"` (no
-        /// device could absorb the image), `"storage-full"` (target
-        /// device out of space), `"node-fail"` / `"node-crash"` (the
-        /// host died mid-dump), `"breaker-open"` (the checkpoint
-        /// path's circuit breaker degraded the preemption to a kill),
-        /// and `"no-space"` (the image-lifecycle ladder — GC, eviction,
-        /// spill — still could not find room for the image).
-        reason: &'static str,
-    },
-    /// A checkpoint dump attempt failed (fault injection); the victim
-    /// either retries after backoff or falls back to a kill.
-    DumpFail {
-        /// Task whose dump failed.
-        task: u64,
-        /// Node the dump ran on.
-        node: u32,
-        /// 0-based attempt index that failed.
-        attempt: u32,
-        /// Whether a retry is scheduled (`false` ⇒ kill fallback next).
-        will_retry: bool,
-    },
-    /// A checkpoint restore attempt failed (fault injection); the task
-    /// either retries from a surviving replica or restarts from scratch.
-    RestoreFail {
-        /// Task whose restore failed.
-        task: u64,
-        /// Node the restore ran on.
-        node: u32,
-        /// 0-based attempt index that failed.
-        attempt: u32,
-        /// Failure class (`"transient"`, `"corrupt-image"`,
-        /// `"blocks-lost"`).
-        reason: &'static str,
-        /// Whether a retry is scheduled (`false` ⇒ restart from
-        /// scratch).
-        will_retry: bool,
-    },
-    /// The RM escalated an unresponsive AM's preemption request to a
-    /// forced kill.
-    AmEscalate {
-        /// Victim task whose AM ignored the request.
-        task: u64,
-        /// Node the victim runs on.
-        node: u32,
-        /// How long the RM waited before escalating (µs).
-        waited_us: u64,
-    },
-    /// HDFS re-replicated blocks lost with a failed datanode.
-    ReplicationRepair {
-        /// The failed datanode's node id.
-        node: u32,
-        /// Number of under-replicated blocks repaired.
-        blocks: u64,
-        /// Total bytes copied to restore the replication factor.
-        bytes: u64,
-    },
-    /// A checkpoint restore started.
-    RestoreStart {
-        /// Task being restored.
-        task: u64,
-        /// Node the task restores onto.
-        node: u32,
-        /// Node holding the checkpoint image.
-        origin: u32,
-        /// Device the image is read from.
-        device: &'static str,
-        /// Bytes to read.
-        bytes: u64,
-        /// True if the image lives on a different node than the restore
-        /// target.
-        remote: bool,
-    },
-    /// A checkpoint restore finished.
-    RestoreDone {
-        /// Task that was restored.
-        task: u64,
-        /// Node the restore ran on.
-        node: u32,
-        /// Sim time (µs) the matching [`TraceRecord::RestoreStart`]
-        /// carried.
-        start_us: u64,
-    },
-    /// A node failed; its tasks are lost or must be restored elsewhere.
-    NodeFail {
-        /// The failed node.
-        node: u32,
-    },
-    /// A failed node came back.
-    NodeRecover {
-        /// The recovered node.
-        node: u32,
-    },
-    /// A chaos-plan crash took the node down (correlated failure-domain
-    /// injection, distinct from [`TraceRecord::NodeFail`]'s organic MTBF
-    /// failure). Running tasks are lost and the node's DFS replicas are
-    /// unreadable until [`TraceRecord::NodeUp`].
-    NodeDown {
-        /// The crashed node.
-        node: u32,
-    },
-    /// A chaos-crashed node came back up and re-registered with the DFS.
-    NodeUp {
-        /// The recovered node.
-        node: u32,
-    },
-    /// A network partition isolated a rack: remote reads/writes across
-    /// the partition pay the plan's penalty until
-    /// [`TraceRecord::PartitionEnd`].
-    PartitionStart {
-        /// The isolated rack.
-        rack: u32,
-    },
-    /// The network partition healed.
-    PartitionEnd {
-        /// The rack that was isolated.
-        rack: u32,
-    },
-    /// A checkpoint-path circuit breaker tripped open: preemption on the
-    /// affected node(s) degrades to kill (`DumpFallback("breaker-open")`)
-    /// until a half-open probe succeeds.
-    BreakerOpen {
-        /// The node whose breaker opened (0 when `global`).
-        node: u32,
-        /// True for the cluster-wide breaker.
-        global: bool,
-    },
-    /// A circuit breaker closed after a successful half-open probe.
-    BreakerClose {
-        /// The node whose breaker closed (0 when `global`).
-        node: u32,
-        /// True for the cluster-wide breaker.
-        global: bool,
-    },
-    /// An image-lifecycle GC pass reclaimed dead reservations (leaked
-    /// bytes, stale chains) on a pressured device.
-    GcPass {
-        /// The node whose device was collected.
-        node: u32,
-        /// Bytes reclaimed by the pass.
-        reclaimed: u64,
-        /// Live chains discarded as dead/stale (0 when only leaked
-        /// reservations were reclaimed).
-        chains: u64,
-    },
-    /// The lifecycle manager evicted a live checkpoint chain to make
-    /// room for a new dump; the owning task falls back to a scratch
-    /// restart on its next placement.
-    ImageEvict {
-        /// Task whose chain was evicted.
-        task: u64,
-        /// Node whose device held (and reclaimed) the chain bytes.
-        node: u32,
-        /// Bytes freed on that device.
-        bytes: u64,
-    },
-    /// A dump that did not fit locally was spilled to a remote node's
-    /// device via the DFS (pipeline cost now, remote restore later).
-    ImageSpill {
-        /// Task being dumped.
-        task: u64,
-        /// Node the task runs on (where the dump originated).
-        node: u32,
-        /// Remote node whose device absorbed the image.
-        origin: u32,
-        /// Bytes written remotely.
-        bytes: u64,
-    },
-    /// The whole degradation ladder (GC → evict → spill) failed to place
-    /// an image; the matching `DumpFallback("no-space")` kill follows.
-    NoSpace {
-        /// Task whose dump was abandoned.
-        task: u64,
-        /// Node the task runs on.
-        node: u32,
-        /// Bytes the dump needed and could not get anywhere.
-        wanted: u64,
-    },
-    /// A dump interruption left a durable chunk frontier behind: chunks
-    /// `0..=chunk` survived and the resumed retry starts after them.
-    /// Emitted at interruption time (not per chunk — a healthy dump would
-    /// otherwise emit hundreds of lines).
-    ChunkDone {
-        /// Task being dumped.
-        task: u64,
-        /// Node the dump ran on.
-        node: u32,
-        /// Highest durable chunk index (0-based).
-        chunk: u64,
-        /// Total chunks in the transfer.
-        total: u64,
-    },
-    /// Restore-time validation flagged a chunk of a chain image as
-    /// corrupt.
-    ChunkCorrupt {
-        /// Task being restored.
-        task: u64,
-        /// Node the restore runs on.
-        node: u32,
-        /// Id of the image the chunk belongs to.
-        image: u64,
-        /// Corrupt chunk index (0-based).
-        chunk: u64,
-    },
-    /// A targeted re-fetch of a corrupt chunk from a DFS replica.
-    ChunkRefetch {
-        /// Task being restored.
-        task: u64,
-        /// Node the restore runs on.
-        node: u32,
-        /// Chunk index that was re-fetched.
-        chunk: u64,
-        /// Whether the replica read repaired the chunk.
-        ok: bool,
-    },
-    /// A failed dump's retry resumed from its durable chunk frontier
-    /// instead of re-dumping from byte zero.
-    ResumeDump {
-        /// Task being dumped.
-        task: u64,
-        /// Node the dump runs on.
-        node: u32,
-        /// Bytes already durable that the retry skips.
-        resumed_bytes: u64,
-        /// Total bytes of the dump.
-        total_bytes: u64,
-    },
-    /// Chain validation truncated a task's image chain to its longest
-    /// valid prefix; the task restores from an older image.
-    ChainTruncate {
-        /// Task whose chain was truncated.
-        task: u64,
-        /// Node the restore runs on.
-        node: u32,
-        /// Images dropped from the invalid suffix.
-        dropped: u64,
-        /// Images surviving in the valid prefix.
-        kept: u64,
-    },
-    /// The pending-queue depth changed.
-    QueueDepth {
-        /// New total number of pending tasks.
-        pending: u64,
-    },
+/// A record field's type: how it is written as a JSONL value and read back.
+/// Reading is checked: a value the type cannot hold is rejected.
+trait Field: Sized {
+    /// Wire type named in decode errors.
+    const KIND: &'static str;
+    /// A value for the every-kind round-trip test.
+    #[cfg(test)]
+    const EXAMPLE: Self;
+    fn push(self, out: &mut String);
+    fn read(v: &Value) -> Option<Self>;
 }
 
-impl TraceRecord {
-    /// Short stable name of the event kind (used as the JSONL `event`
-    /// field and the Chrome trace event name).
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceRecord::TaskSubmit { .. } => "task_submit",
-            TraceRecord::TaskSchedule { .. } => "task_schedule",
-            TraceRecord::TaskFinish { .. } => "task_finish",
-            TraceRecord::TaskEvict { .. } => "task_evict",
-            TraceRecord::PreemptDecision { .. } => "preempt_decision",
-            TraceRecord::DumpStart { .. } => "dump_start",
-            TraceRecord::DumpDone { .. } => "dump_done",
-            TraceRecord::DumpFallback { .. } => "dump_fallback",
-            TraceRecord::DumpFail { .. } => "dump_fail",
-            TraceRecord::RestoreFail { .. } => "restore_fail",
-            TraceRecord::AmEscalate { .. } => "am_escalate",
-            TraceRecord::ReplicationRepair { .. } => "replication_repair",
-            TraceRecord::RestoreStart { .. } => "restore_start",
-            TraceRecord::RestoreDone { .. } => "restore_done",
-            TraceRecord::NodeFail { .. } => "node_fail",
-            TraceRecord::NodeRecover { .. } => "node_recover",
-            TraceRecord::NodeDown { .. } => "node_down",
-            TraceRecord::NodeUp { .. } => "node_up",
-            TraceRecord::PartitionStart { .. } => "partition_start",
-            TraceRecord::PartitionEnd { .. } => "partition_end",
-            TraceRecord::BreakerOpen { .. } => "breaker_open",
-            TraceRecord::BreakerClose { .. } => "breaker_close",
-            TraceRecord::GcPass { .. } => "gc_pass",
-            TraceRecord::ImageEvict { .. } => "image_evict",
-            TraceRecord::ImageSpill { .. } => "image_spill",
-            TraceRecord::NoSpace { .. } => "no_space",
-            TraceRecord::ChunkDone { .. } => "chunk_done",
-            TraceRecord::ChunkCorrupt { .. } => "chunk_corrupt",
-            TraceRecord::ChunkRefetch { .. } => "chunk_refetch",
-            TraceRecord::ResumeDump { .. } => "resume_dump",
-            TraceRecord::ChainTruncate { .. } => "chain_truncate",
-            TraceRecord::QueueDepth { .. } => "queue_depth",
+macro_rules! uint_fields {
+    ($($t:ident),*) => {$(
+        impl Field for $t {
+            const KIND: &'static str = stringify!($t);
+            #[cfg(test)]
+            const EXAMPLE: Self = $t::MAX;
+            fn push(self, out: &mut String) {
+                json::push_u64(out, u64::from(self));
+            }
+            fn read(v: &Value) -> Option<Self> {
+                Self::try_from(v.as_u64()?).ok()
+            }
         }
-    }
+    )*};
+}
+uint_fields!(u8, u32, u64);
 
-    /// Node the record is about, if any (used for Chrome trace tids).
-    fn node(&self) -> Option<u32> {
-        match *self {
-            TraceRecord::TaskSubmit { .. }
-            | TraceRecord::QueueDepth { .. }
-            | TraceRecord::PartitionStart { .. }
-            | TraceRecord::PartitionEnd { .. }
-            | TraceRecord::BreakerOpen { .. }
-            | TraceRecord::BreakerClose { .. } => None,
-            TraceRecord::TaskSchedule { node, .. }
-            | TraceRecord::TaskFinish { node, .. }
-            | TraceRecord::TaskEvict { node, .. }
-            | TraceRecord::PreemptDecision { node, .. }
-            | TraceRecord::DumpStart { node, .. }
-            | TraceRecord::DumpDone { node, .. }
-            | TraceRecord::DumpFallback { node, .. }
-            | TraceRecord::DumpFail { node, .. }
-            | TraceRecord::RestoreFail { node, .. }
-            | TraceRecord::AmEscalate { node, .. }
-            | TraceRecord::ReplicationRepair { node, .. }
-            | TraceRecord::RestoreStart { node, .. }
-            | TraceRecord::RestoreDone { node, .. }
-            | TraceRecord::GcPass { node, .. }
-            | TraceRecord::ImageEvict { node, .. }
-            | TraceRecord::ImageSpill { node, .. }
-            | TraceRecord::NoSpace { node, .. }
-            | TraceRecord::ChunkDone { node, .. }
-            | TraceRecord::ChunkCorrupt { node, .. }
-            | TraceRecord::ChunkRefetch { node, .. }
-            | TraceRecord::ResumeDump { node, .. }
-            | TraceRecord::ChainTruncate { node, .. }
-            | TraceRecord::NodeFail { node }
-            | TraceRecord::NodeRecover { node }
-            | TraceRecord::NodeDown { node }
-            | TraceRecord::NodeUp { node } => Some(node),
-        }
+impl Field for bool {
+    const KIND: &'static str = "bool";
+    #[cfg(test)]
+    const EXAMPLE: Self = true;
+    fn push(self, out: &mut String) {
+        out.push_str(if self { "true" } else { "false" });
     }
+    fn read(v: &Value) -> Option<Self> {
+        v.as_bool()
+    }
+}
 
-    /// Appends the record's payload fields as `"key":value` pairs
-    /// (comma-prefixed) to a JSON object under construction. Field order is
-    /// fixed per variant so output is byte-stable.
-    fn push_fields(&self, out: &mut String) {
-        fn kv_u64(out: &mut String, k: &str, v: u64) {
-            out.push(',');
-            json::push_key(out, k);
-            json::push_u64(out, v);
+impl Field for &'static str {
+    const KIND: &'static str = "string";
+    #[cfg(test)]
+    const EXAMPLE: Self = "a \"quoted\" reason";
+    fn push(self, out: &mut String) {
+        json::push_str_escaped(out, self);
+    }
+    fn read(v: &Value) -> Option<Self> {
+        v.as_str().map(intern)
+    }
+}
+
+impl Field for PreemptAction {
+    const KIND: &'static str = "preempt action";
+    #[cfg(test)]
+    const EXAMPLE: Self = PreemptAction::Checkpoint;
+    fn push(self, out: &mut String) {
+        json::push_str_escaped(out, self.as_str());
+    }
+    fn read(v: &Value) -> Option<Self> {
+        let s = v.as_str()?;
+        [PreemptAction::Kill, PreemptAction::Checkpoint]
+            .into_iter()
+            .find(|a| a.as_str() == s)
+    }
+}
+
+/// Reads field `key` of a parsed `event` line.
+fn read_field<T: Field>(v: &Value, event: &str, key: &str) -> Result<T, String> {
+    let raw = v
+        .get(key)
+        .ok_or_else(|| format!("{event}: missing field {key:?}"))?;
+    T::read(raw).ok_or_else(|| format!("{event}: field {key:?} is not a {}", T::KIND))
+}
+
+/// Declares [`TraceRecord`] from one table, the only place a record kind
+/// is declared. An entry `Variant("event_name", node_field) { fields }`
+/// gives the JSONL `event` value (also the Chrome trace name), optionally
+/// the field holding the node the record is about (its Chrome trace
+/// thread), and the typed fields in wire order. The table generates the
+/// enum, `name`, `node`, the JSONL field writer and the per-event decoder
+/// [`crate::JsonlReader`] uses, each straight-line per variant.
+macro_rules! trace_records {
+    (@node) => { None };
+    (@node $node:ident) => { Some($node) };
+    (
+        $(#[$meta:meta])*
+        pub enum TraceRecord {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident($name:literal $(, $node:ident)?) {
+                    $($(#[$fmeta:meta])* $field:ident: $ty:ty,)*
+                },
+            )*
         }
-        fn kv_str(out: &mut String, k: &str, v: &str) {
-            out.push(',');
-            json::push_key(out, k);
-            json::push_str_escaped(out, v);
+    ) => {
+        $(#[$meta])*
+        pub enum TraceRecord {
+            $($(#[$vmeta])* $variant { $($(#[$fmeta])* $field: $ty,)* },)*
         }
-        fn kv_bool(out: &mut String, k: &str, v: bool) {
-            out.push(',');
-            json::push_key(out, k);
-            out.push_str(if v { "true" } else { "false" });
-        }
-        match *self {
-            TraceRecord::TaskSubmit {
-                task,
-                job,
-                priority,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "job", job);
-                kv_u64(out, "priority", priority as u64);
+
+        impl TraceRecord {
+            /// Every event name, in table order.
+            #[cfg(test)]
+            pub(crate) const NAMES: &'static [&'static str] = &[$($name),*];
+
+            /// Short stable name of the event kind (used as the JSONL `event`
+            /// field and the Chrome trace event name).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(TraceRecord::$variant { .. } => $name,)*
+                }
             }
-            TraceRecord::TaskSchedule {
-                task,
-                node,
-                restore,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_bool(out, "restore", restore);
+
+            /// Node the record is about, if any (used for Chrome trace tids).
+            fn node(&self) -> Option<u32> {
+                match *self {
+                    $(TraceRecord::$variant { $($node,)? .. } => trace_records!(@node $($node)?),)*
+                }
             }
-            TraceRecord::TaskFinish { task, node } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
+
+            /// Appends the payload fields as comma-prefixed `"key":value`
+            /// pairs in table order, so output is byte-stable.
+            fn push_fields(&self, out: &mut String) {
+                match *self {
+                    $(TraceRecord::$variant { $($field,)* } => {
+                        $(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            Field::push($field, out);
+                        )*
+                    })*
+                }
             }
-            TraceRecord::TaskEvict { task, node, reason } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_str(out, "reason", reason);
+
+            /// Decodes the payload of a parsed line whose `event` is `event`.
+            pub(crate) fn decode(event: &str, v: &Value) -> Result<Self, String> {
+                Ok(match event {
+                    $($name => TraceRecord::$variant {
+                        $($field: read_field(v, event, stringify!($field))?,)*
+                    },)*
+                    other => return Err(format!("unknown event {other:?}")),
+                })
             }
-            TraceRecord::PreemptDecision {
-                victim,
-                node,
-                action,
-                policy,
-                reason,
-            } => {
-                kv_u64(out, "victim", victim);
-                kv_u64(out, "node", node as u64);
-                kv_str(out, "action", action.as_str());
-                kv_str(out, "policy", policy);
-                kv_str(out, "reason", reason);
-            }
-            TraceRecord::DumpStart {
-                task,
-                node,
-                device,
-                bytes,
-                incremental,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_str(out, "device", device);
-                kv_u64(out, "bytes", bytes);
-                kv_bool(out, "incremental", incremental);
-            }
-            TraceRecord::DumpDone {
-                task,
-                node,
-                start_us,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "start_us", start_us);
-            }
-            TraceRecord::DumpFallback { task, node, reason } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_str(out, "reason", reason);
-            }
-            TraceRecord::DumpFail {
-                task,
-                node,
-                attempt,
-                will_retry,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "attempt", attempt as u64);
-                kv_bool(out, "will_retry", will_retry);
-            }
-            TraceRecord::RestoreFail {
-                task,
-                node,
-                attempt,
-                reason,
-                will_retry,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "attempt", attempt as u64);
-                kv_str(out, "reason", reason);
-                kv_bool(out, "will_retry", will_retry);
-            }
-            TraceRecord::AmEscalate {
-                task,
-                node,
-                waited_us,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "waited_us", waited_us);
-            }
-            TraceRecord::ReplicationRepair {
-                node,
-                blocks,
-                bytes,
-            } => {
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "blocks", blocks);
-                kv_u64(out, "bytes", bytes);
-            }
-            TraceRecord::RestoreStart {
-                task,
-                node,
-                origin,
-                device,
-                bytes,
-                remote,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "origin", origin as u64);
-                kv_str(out, "device", device);
-                kv_u64(out, "bytes", bytes);
-                kv_bool(out, "remote", remote);
-            }
-            TraceRecord::RestoreDone {
-                task,
-                node,
-                start_us,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "start_us", start_us);
-            }
-            TraceRecord::NodeFail { node }
-            | TraceRecord::NodeRecover { node }
-            | TraceRecord::NodeDown { node }
-            | TraceRecord::NodeUp { node } => {
-                kv_u64(out, "node", node as u64);
-            }
-            TraceRecord::PartitionStart { rack } | TraceRecord::PartitionEnd { rack } => {
-                kv_u64(out, "rack", rack as u64);
-            }
-            TraceRecord::BreakerOpen { node, global }
-            | TraceRecord::BreakerClose { node, global } => {
-                kv_u64(out, "node", node as u64);
-                kv_bool(out, "global", global);
-            }
-            TraceRecord::GcPass {
-                node,
-                reclaimed,
-                chains,
-            } => {
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "reclaimed", reclaimed);
-                kv_u64(out, "chains", chains);
-            }
-            TraceRecord::ImageEvict { task, node, bytes } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "bytes", bytes);
-            }
-            TraceRecord::ImageSpill {
-                task,
-                node,
-                origin,
-                bytes,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "origin", origin as u64);
-                kv_u64(out, "bytes", bytes);
-            }
-            TraceRecord::NoSpace { task, node, wanted } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "wanted", wanted);
-            }
-            TraceRecord::ChunkDone {
-                task,
-                node,
-                chunk,
-                total,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "chunk", chunk);
-                kv_u64(out, "total", total);
-            }
-            TraceRecord::ChunkCorrupt {
-                task,
-                node,
-                image,
-                chunk,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "image", image);
-                kv_u64(out, "chunk", chunk);
-            }
-            TraceRecord::ChunkRefetch {
-                task,
-                node,
-                chunk,
-                ok,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "chunk", chunk);
-                kv_bool(out, "ok", ok);
-            }
-            TraceRecord::ResumeDump {
-                task,
-                node,
-                resumed_bytes,
-                total_bytes,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "resumed_bytes", resumed_bytes);
-                kv_u64(out, "total_bytes", total_bytes);
-            }
-            TraceRecord::ChainTruncate {
-                task,
-                node,
-                dropped,
-                kept,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "dropped", dropped);
-                kv_u64(out, "kept", kept);
-            }
-            TraceRecord::QueueDepth { pending } => {
-                kv_u64(out, "pending", pending);
+
+            /// The record of kind `event` with every field set to its
+            /// type's example value.
+            #[cfg(test)]
+            pub(crate) fn example(event: &str) -> Option<Self> {
+                Some(match event {
+                    $($name => TraceRecord::$variant { $($field: Field::EXAMPLE,)* },)*
+                    _ => return None,
+                })
             }
         }
+    };
+}
+
+trace_records! {
+    /// A typed, sim-time-stamped trace record.
+    ///
+    /// All fields are `Copy` (strings are `&'static str`) so simulators can
+    /// construct records inline without fighting the borrow checker, and so
+    /// tracing a record can never allocate when the tracer is disabled.
+    ///
+    /// Timestamps are *not* part of the record: they are passed separately to
+    /// [`Tracer::record`] as integer microseconds of simulated time.
+    #[derive(Debug, Clone, Copy)]
+    pub enum TraceRecord {
+        /// A task entered the pending queue.
+        TaskSubmit("task_submit") {
+            /// Task id (simulator-scoped).
+            task: u64,
+            /// Owning job id.
+            job: u64,
+            /// Scheduler priority (0..=11 in the Google trace).
+            priority: u8,
+        },
+        /// A task was placed on a node and started (or resumed) running.
+        TaskSchedule("task_schedule", node) {
+            /// Task id.
+            task: u64,
+            /// Node the task was placed on.
+            node: u32,
+            /// True if the task resumes from a checkpoint image.
+            restore: bool,
+        },
+        /// A task ran to completion.
+        TaskFinish("task_finish", node) {
+            /// Task id.
+            task: u64,
+            /// Node the task finished on.
+            node: u32,
+        },
+        /// A task was evicted from its node (killed, dumped, or failed).
+        TaskEvict("task_evict", node) {
+            /// Task id.
+            task: u64,
+            /// Node the task was evicted from.
+            node: u32,
+            /// Why the eviction happened. Vocabulary: `"kill"` (scheduler
+            /// kill), `"dump"` (checkpoint-then-evict), `"dump-fail"`
+            /// (eviction after a failed dump), `"node-fail"` (the host
+            /// died organically, MTBF model), `"node-crash"` (a chaos-plan
+            /// crash took the host down), and `"am-escalate"` (YarnSim: the
+            /// application master ignored the graceful-preemption deadline
+            /// and the RM forced the kill). Analyzers treat every reason
+            /// except `"dump"` as a hard kill for lost-work accounting.
+            reason: &'static str,
+        },
+        /// The scheduler chose what to do with a preemption victim.
+        PreemptDecision("preempt_decision", node) {
+            /// Victim task id.
+            victim: u64,
+            /// Node the victim runs on.
+            node: u32,
+            /// The resolved action.
+            action: PreemptAction,
+            /// Configured policy name (e.g. `"kill"`, `"checkpoint"`,
+            /// `"adaptive"`).
+            policy: &'static str,
+            /// Why this action was chosen (e.g. `"policy"`,
+            /// `"progress-at-risk"`).
+            reason: &'static str,
+        },
+        /// A checkpoint dump started.
+        DumpStart("dump_start", node) {
+            /// Task being dumped.
+            task: u64,
+            /// Node the dump runs on.
+            node: u32,
+            /// Target device (e.g. `"hdd"`, `"ssd"`, `"nvm"`).
+            device: &'static str,
+            /// Bytes to be written.
+            bytes: u64,
+            /// True for an incremental (pre-dump-based) dump.
+            incremental: bool,
+        },
+        /// A checkpoint dump finished.
+        DumpDone("dump_done", node) {
+            /// Task that was dumped.
+            task: u64,
+            /// Node the dump ran on.
+            node: u32,
+            /// Sim time (µs) the matching [`TraceRecord::DumpStart`] carried.
+            start_us: u64,
+        },
+        /// A dump could not proceed and the victim fell back to a kill.
+        DumpFallback("dump_fallback", node) {
+            /// Task that fell back.
+            task: u64,
+            /// Node involved.
+            node: u32,
+            /// Why the fallback happened. Vocabulary: `"no-capacity"` (no
+            /// device could absorb the image), `"storage-full"` (target
+            /// device out of space), `"node-fail"` / `"node-crash"` (the
+            /// host died mid-dump), `"breaker-open"` (the checkpoint
+            /// path's circuit breaker degraded the preemption to a kill),
+            /// and `"no-space"` (the image-lifecycle ladder — GC, eviction,
+            /// spill — still could not find room for the image).
+            reason: &'static str,
+        },
+        /// A checkpoint dump attempt failed (fault injection); the victim
+        /// either retries after backoff or falls back to a kill.
+        DumpFail("dump_fail", node) {
+            /// Task whose dump failed.
+            task: u64,
+            /// Node the dump ran on.
+            node: u32,
+            /// 0-based attempt index that failed.
+            attempt: u32,
+            /// Whether a retry is scheduled (`false` ⇒ kill fallback next).
+            will_retry: bool,
+        },
+        /// A checkpoint restore attempt failed (fault injection); the task
+        /// either retries from a surviving replica or restarts from scratch.
+        RestoreFail("restore_fail", node) {
+            /// Task whose restore failed.
+            task: u64,
+            /// Node the restore ran on.
+            node: u32,
+            /// 0-based attempt index that failed.
+            attempt: u32,
+            /// Failure class (`"transient"`, `"corrupt-image"`,
+            /// `"blocks-lost"`).
+            reason: &'static str,
+            /// Whether a retry is scheduled (`false` ⇒ restart from
+            /// scratch).
+            will_retry: bool,
+        },
+        /// The RM escalated an unresponsive AM's preemption request to a
+        /// forced kill.
+        AmEscalate("am_escalate", node) {
+            /// Victim task whose AM ignored the request.
+            task: u64,
+            /// Node the victim runs on.
+            node: u32,
+            /// How long the RM waited before escalating (µs).
+            waited_us: u64,
+        },
+        /// HDFS re-replicated blocks lost with a failed datanode.
+        ReplicationRepair("replication_repair", node) {
+            /// The failed datanode's node id.
+            node: u32,
+            /// Number of under-replicated blocks repaired.
+            blocks: u64,
+            /// Total bytes copied to restore the replication factor.
+            bytes: u64,
+        },
+        /// A checkpoint restore started.
+        RestoreStart("restore_start", node) {
+            /// Task being restored.
+            task: u64,
+            /// Node the task restores onto.
+            node: u32,
+            /// Node holding the checkpoint image.
+            origin: u32,
+            /// Device the image is read from.
+            device: &'static str,
+            /// Bytes to read.
+            bytes: u64,
+            /// True if the image lives on a different node than the restore
+            /// target.
+            remote: bool,
+        },
+        /// A checkpoint restore finished.
+        RestoreDone("restore_done", node) {
+            /// Task that was restored.
+            task: u64,
+            /// Node the restore ran on.
+            node: u32,
+            /// Sim time (µs) the matching [`TraceRecord::RestoreStart`]
+            /// carried.
+            start_us: u64,
+        },
+        /// A node failed; its tasks are lost or must be restored elsewhere.
+        NodeFail("node_fail", node) {
+            /// The failed node.
+            node: u32,
+        },
+        /// A failed node came back.
+        NodeRecover("node_recover", node) {
+            /// The recovered node.
+            node: u32,
+        },
+        /// A chaos-plan crash took the node down (correlated failure-domain
+        /// injection, distinct from [`TraceRecord::NodeFail`]'s organic MTBF
+        /// failure). Running tasks are lost and the node's DFS replicas are
+        /// unreadable until [`TraceRecord::NodeUp`].
+        NodeDown("node_down", node) {
+            /// The crashed node.
+            node: u32,
+        },
+        /// A chaos-crashed node came back up and re-registered with the DFS.
+        NodeUp("node_up", node) {
+            /// The recovered node.
+            node: u32,
+        },
+        /// A network partition isolated a rack: remote reads/writes across
+        /// the partition pay the plan's penalty until
+        /// [`TraceRecord::PartitionEnd`].
+        PartitionStart("partition_start") {
+            /// The isolated rack.
+            rack: u32,
+        },
+        /// The network partition healed.
+        PartitionEnd("partition_end") {
+            /// The rack that was isolated.
+            rack: u32,
+        },
+        /// A checkpoint-path circuit breaker tripped open: preemption on the
+        /// affected node(s) degrades to kill (`DumpFallback("breaker-open")`)
+        /// until a half-open probe succeeds.
+        BreakerOpen("breaker_open") {
+            /// The node whose breaker opened (0 when `global`).
+            node: u32,
+            /// True for the cluster-wide breaker.
+            global: bool,
+        },
+        /// A circuit breaker closed after a successful half-open probe.
+        BreakerClose("breaker_close") {
+            /// The node whose breaker closed (0 when `global`).
+            node: u32,
+            /// True for the cluster-wide breaker.
+            global: bool,
+        },
+        /// An image-lifecycle GC pass reclaimed dead reservations (leaked
+        /// bytes, stale chains) on a pressured device.
+        GcPass("gc_pass", node) {
+            /// The node whose device was collected.
+            node: u32,
+            /// Bytes reclaimed by the pass.
+            reclaimed: u64,
+            /// Live chains discarded as dead/stale (0 when only leaked
+            /// reservations were reclaimed).
+            chains: u64,
+        },
+        /// The lifecycle manager evicted a live checkpoint chain to make
+        /// room for a new dump; the owning task falls back to a scratch
+        /// restart on its next placement.
+        ImageEvict("image_evict", node) {
+            /// Task whose chain was evicted.
+            task: u64,
+            /// Node whose device held (and reclaimed) the chain bytes.
+            node: u32,
+            /// Bytes freed on that device.
+            bytes: u64,
+        },
+        /// A dump that did not fit locally was spilled to a remote node's
+        /// device via the DFS (pipeline cost now, remote restore later).
+        ImageSpill("image_spill", node) {
+            /// Task being dumped.
+            task: u64,
+            /// Node the task runs on (where the dump originated).
+            node: u32,
+            /// Remote node whose device absorbed the image.
+            origin: u32,
+            /// Bytes written remotely.
+            bytes: u64,
+        },
+        /// The whole degradation ladder (GC → evict → spill) failed to place
+        /// an image; the matching `DumpFallback("no-space")` kill follows.
+        NoSpace("no_space", node) {
+            /// Task whose dump was abandoned.
+            task: u64,
+            /// Node the task runs on.
+            node: u32,
+            /// Bytes the dump needed and could not get anywhere.
+            wanted: u64,
+        },
+        /// A dump interruption left a durable chunk frontier behind: chunks
+        /// `0..=chunk` survived and the resumed retry starts after them.
+        /// Emitted at interruption time (not per chunk — a healthy dump would
+        /// otherwise emit hundreds of lines).
+        ChunkDone("chunk_done", node) {
+            /// Task being dumped.
+            task: u64,
+            /// Node the dump ran on.
+            node: u32,
+            /// Highest durable chunk index (0-based).
+            chunk: u64,
+            /// Total chunks in the transfer.
+            total: u64,
+        },
+        /// Restore-time validation flagged a chunk of a chain image as
+        /// corrupt.
+        ChunkCorrupt("chunk_corrupt", node) {
+            /// Task being restored.
+            task: u64,
+            /// Node the restore runs on.
+            node: u32,
+            /// Id of the image the chunk belongs to.
+            image: u64,
+            /// Corrupt chunk index (0-based).
+            chunk: u64,
+        },
+        /// A targeted re-fetch of a corrupt chunk from a DFS replica.
+        ChunkRefetch("chunk_refetch", node) {
+            /// Task being restored.
+            task: u64,
+            /// Node the restore runs on.
+            node: u32,
+            /// Chunk index that was re-fetched.
+            chunk: u64,
+            /// Whether the replica read repaired the chunk.
+            ok: bool,
+        },
+        /// A failed dump's retry resumed from its durable chunk frontier
+        /// instead of re-dumping from byte zero.
+        ResumeDump("resume_dump", node) {
+            /// Task being dumped.
+            task: u64,
+            /// Node the dump runs on.
+            node: u32,
+            /// Bytes already durable that the retry skips.
+            resumed_bytes: u64,
+            /// Total bytes of the dump.
+            total_bytes: u64,
+        },
+        /// Chain validation truncated a task's image chain to its longest
+        /// valid prefix; the task restores from an older image.
+        ChainTruncate("chain_truncate", node) {
+            /// Task whose chain was truncated.
+            task: u64,
+            /// Node the restore runs on.
+            node: u32,
+            /// Images dropped from the invalid suffix.
+            dropped: u64,
+            /// Images surviving in the valid prefix.
+            kept: u64,
+        },
+        /// The pending-queue depth changed.
+        QueueDepth("queue_depth") {
+            /// New total number of pending tasks.
+            pending: u64,
+        },
+
     }
 }
 
@@ -751,7 +576,7 @@ impl Tracer for NullTracer {
 /// Writes one JSON object per line: `{"t_us":N,"event":"...",...}`.
 ///
 /// The first line is a schema header
-/// (`{"schema":"cbp-trace","version":4}`, see
+/// (`{"schema":"cbp-trace","version":5}`, see
 /// [`crate::reader::schema_header`]) so consumers can reject traces
 /// written by an incompatible emitter. Field order is fixed (`t_us`,
 /// `event`, then per-variant payload), so the same record stream

@@ -160,49 +160,62 @@ fn fig8_response_shape_on_nvm() {
     );
 }
 
-/// Fig. 10: adaptive is at least as good as basic checkpointing for both
-/// priority classes on slow media.
+/// Fig. 10 over a seed sweep: on slow media adaptive is at least as good
+/// as basic checkpointing for both priority classes on every seed, and
+/// kills young tasks on at least 10 of the 12 seeds. On the others every
+/// victim is worth checkpointing, so adaptive behaves exactly as basic.
 #[test]
 fn fig10_adaptive_vs_basic_on_hdd() {
-    let basic = run(PreemptionPolicy::Checkpoint, MediaKind::Hdd, 6);
-    let adaptive = run(PreemptionPolicy::Adaptive, MediaKind::Hdd, 6);
+    let seeds = 0..12u64;
+    let n = seeds.end - seeds.start;
+    let mut killing = 0u64;
+    for seed in seeds {
+        let w = workload(seed);
+        let basic = cluster(PreemptionPolicy::Checkpoint, MediaKind::Hdd).run(&w);
+        let adaptive = cluster(PreemptionPolicy::Adaptive, MediaKind::Hdd).run(&w);
+        let high = adaptive.mean_high_response() / basic.mean_high_response();
+        let low = adaptive.mean_low_response() / basic.mean_low_response();
+        assert!(
+            high <= 1.0 && low <= 1.0,
+            "seed {seed}: adaptive/basic response ratio high {high}, low {low}"
+        );
+        killing += u64::from(adaptive.kills > 0);
+    }
     assert!(
-        adaptive.mean_high_response() <= basic.mean_high_response() * 1.02,
-        "adaptive high {} vs basic {}",
-        adaptive.mean_high_response(),
-        basic.mean_high_response()
-    );
-    assert!(
-        adaptive.kills > 0,
-        "adaptive on HDD should kill young tasks"
+        killing * 6 >= n * 5,
+        "adaptive killed young tasks on only {killing}/{n} seeds"
     );
 }
 
-/// Fig. 12: adaptive reduces checkpoint CPU and I/O overhead vs basic.
+/// Fig. 12 over a seed sweep: adaptive never costs more checkpoint CPU or
+/// I/O overhead than basic, and NVM overheads are negligible, as in the
+/// paper.
 #[test]
 fn fig12_overheads() {
-    let basic = run(PreemptionPolicy::Checkpoint, MediaKind::Hdd, 7);
-    let adaptive = run(PreemptionPolicy::Adaptive, MediaKind::Hdd, 7);
-    assert!(basic.cpu_overhead_fraction() > 0.0);
-    assert!(
-        adaptive.cpu_overhead_fraction() <= basic.cpu_overhead_fraction(),
-        "adaptive {} vs basic {}",
-        adaptive.cpu_overhead_fraction(),
-        basic.cpu_overhead_fraction()
-    );
-    assert!(
-        adaptive.io_overhead_fraction <= basic.io_overhead_fraction,
-        "adaptive io {} vs basic io {}",
-        adaptive.io_overhead_fraction,
-        basic.io_overhead_fraction
-    );
-    // NVM overheads are negligible, as in the paper.
-    let nvm = run(PreemptionPolicy::Adaptive, MediaKind::Nvm, 7);
-    assert!(
-        nvm.cpu_overhead_fraction() < 0.02,
-        "{}",
-        nvm.cpu_overhead_fraction()
-    );
+    for seed in 0..12u64 {
+        let w = workload(seed);
+        let basic = cluster(PreemptionPolicy::Checkpoint, MediaKind::Hdd).run(&w);
+        let adaptive = cluster(PreemptionPolicy::Adaptive, MediaKind::Hdd).run(&w);
+        let nvm = cluster(PreemptionPolicy::Adaptive, MediaKind::Nvm).run(&w);
+        assert!(basic.cpu_overhead_fraction() > 0.0, "seed {seed}");
+        assert!(
+            adaptive.cpu_overhead_fraction() <= basic.cpu_overhead_fraction(),
+            "seed {seed}: adaptive cpu {} vs basic {}",
+            adaptive.cpu_overhead_fraction(),
+            basic.cpu_overhead_fraction()
+        );
+        assert!(
+            adaptive.io_overhead_fraction <= basic.io_overhead_fraction,
+            "seed {seed}: adaptive io {} vs basic io {}",
+            adaptive.io_overhead_fraction,
+            basic.io_overhead_fraction
+        );
+        assert!(
+            nvm.cpu_overhead_fraction() < 0.002,
+            "seed {seed}: NVM cpu overhead {}",
+            nvm.cpu_overhead_fraction()
+        );
+    }
 }
 
 /// Useful work is conserved across policies.
