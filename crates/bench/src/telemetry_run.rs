@@ -264,14 +264,14 @@ fn write_outputs(
         if telemetry.passes > 0 {
             println!(
                 "scheduler: {} passes, {} placements, {} pending visited ({:.2}/placement), \
-                 {} node probes, {} victim searches ({} memoized)",
+                 {} node probes, {} victim searches ({} pruned)",
                 telemetry.passes,
                 telemetry.placements,
                 telemetry.pending_visited,
                 telemetry.pending_visited as f64 / telemetry.placements.max(1) as f64,
                 telemetry.node_probes,
                 telemetry.victim_searches,
-                telemetry.victim_searches_memoized
+                telemetry.victim_searches_pruned
             );
         }
     }

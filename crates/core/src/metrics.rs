@@ -247,8 +247,9 @@ pub struct TelemetryReport {
     pub node_probes: u64,
     /// Victim searches charged to a pass's preemption budget.
     pub victim_searches: u64,
-    /// Victim searches answered by the pass's memo of failed searches.
-    pub victim_searches_memoized: u64,
+    /// Victim searches charged to the budget without a visit: the pass
+    /// proved from per-node running demand that they would fail.
+    pub victim_searches_pruned: u64,
     /// Tasks placed on a node (fresh starts and restores).
     pub placements: u64,
 }

@@ -17,7 +17,7 @@ use cbp_simkit::{
     run_until_observed, EventQueue, RunStats, SimDuration, SimRng, SimTime, Simulation,
 };
 use cbp_telemetry::{MetricsRegistry, NullTracer, PreemptAction, TimeSeries, TraceRecord, Tracer};
-use cbp_workload::{Priority, PriorityBand, TaskSpec, Workload};
+use cbp_workload::{PriorityBand, TaskSpec, Workload};
 
 use crate::config::{
     PreemptionPolicy, QueueDiscipline, RestorePlacement, SimConfig, VictimSelection,
@@ -89,7 +89,7 @@ struct SchedWork {
     pending_visited: u64,
     node_probes: u64,
     victim_searches: u64,
-    victim_searches_memoized: u64,
+    victim_searches_pruned: u64,
     placements: u64,
 }
 
@@ -104,12 +104,6 @@ enum Preempted {
     /// Every victim was killed: the space is free now.
     Freed,
 }
-
-/// A victim search's inputs besides the cluster state: the searching
-/// task's priority, demand and eligible node (see
-/// [`ClusterSim::preempt_restrict`]). Two tasks without reservations of
-/// their own and with equal keys get the same answer from the same state.
-type SearchKey = (Priority, Resources, Option<usize>);
 
 struct NodeSlot {
     node: Node,
@@ -132,7 +126,8 @@ pub struct ClusterSim {
     /// `job_start[j]..job_start[j + 1]`.
     job_start: Vec<u32>,
     pending: PendingQueue,
-    /// Per-node free capacity for the pass's fit-any test.
+    /// Per-node free capacity and running demand for the pass's fit-any
+    /// and search tests.
     fit: FitIndex,
     /// Scheduler work counters.
     work: SchedWork,
@@ -263,7 +258,8 @@ impl ClusterSim {
                 PendingQueue::new(tasks.iter().map(|t| (queue_group(&cfg, t), 1)))
             }
         };
-        let fit = FitIndex::new(n_nodes, cfg.node_resources);
+        let levels = tasks.iter().map(|t| t.priority.0 as usize + 1).max();
+        let fit = FitIndex::new(n_nodes, cfg.node_resources, levels.unwrap_or(1));
 
         let mut criu = Criu::new(cfg.incremental);
         if let Some(compression) = cfg.compression {
@@ -389,7 +385,7 @@ impl ClusterSim {
             pending_visited: self.work.pending_visited,
             node_probes: self.work.node_probes,
             victim_searches: self.work.victim_searches,
-            victim_searches_memoized: self.work.victim_searches_memoized,
+            victim_searches_pruned: self.work.victim_searches_pruned,
             placements: self.work.placements,
         };
         let metrics = self.metrics.into_metrics(
@@ -553,7 +549,10 @@ impl ClusterSim {
                 pos
             }
         };
-        self.tasks[t as usize].status = TaskStatus::Pending;
+        debug_assert!(matches!(
+            self.tasks[t as usize].status,
+            TaskStatus::Pending | TaskStatus::Checkpointed { .. }
+        ));
         // Reservation owners stay queued until placed, so `t` owns none.
         let ckpt = self.restore_draws_rng() && self.has_checkpoint(t);
         self.pending.insert(pos, ckpt, &self.tasks);
@@ -567,6 +566,20 @@ impl ClusterSim {
         self.pending.remove(pos, &self.tasks);
     }
 
+    /// Moves task `t` to `status`. Every status change goes through here
+    /// (but `drop_checkpoint`, which only turns a queued task `Pending`),
+    /// so the fit index's running demand by priority stays exact.
+    fn set_status(&mut self, t: u32, status: TaskStatus) {
+        let task = &mut self.tasks[t as usize];
+        let (q, demand) = (task.priority.0, task.spec.resources);
+        for (s, on) in [(task.status, false), (status, true)] {
+            if let TaskStatus::Running { node, .. } = s {
+                self.fit.set_running(node as usize, q, demand, on);
+            }
+        }
+        task.status = status;
+    }
+
     /// Refreshes the fit index's copy of node `i`'s availability.
     fn sync_avail(&mut self, i: usize) {
         self.fit.set_avail(i, self.nodes[i].node.available());
@@ -575,7 +588,7 @@ impl ClusterSim {
     /// Sets whether node `i` is in service.
     fn set_up(&mut self, i: usize, up: bool) {
         self.nodes[i].up = up;
-        self.fit.invalidate();
+        self.fit.invalidate(i);
     }
 
     fn update_meter(&mut self, node: usize, now: SimTime) {
@@ -622,9 +635,9 @@ impl ClusterSim {
     fn cancel_reservation(&mut self, t: u32) {
         if let Some(r) = self.reservations.remove(&t) {
             self.node_reserved[r.node] = self.node_reserved[r.node].saturating_sub(&r.amount);
-            self.fit.invalidate();
+            self.fit.invalidate(r.node);
             let pos = self.tasks[t as usize].queue_pos.expect("owners are queued");
-            self.pending.set_owner(pos, false, &self.tasks);
+            self.pending.set_owner(pos, false);
         }
     }
 
@@ -830,12 +843,14 @@ impl ClusterSim {
                 );
                 (op.start, op.end)
             };
-            let task = &mut self.tasks[t as usize];
-            task.status = TaskStatus::Restoring {
-                node: node as u32,
-                container: cid,
-            };
-            let epoch = task.epoch;
+            self.set_status(
+                t,
+                TaskStatus::Restoring {
+                    node: node as u32,
+                    container: cid,
+                },
+            );
+            let epoch = self.tasks[t as usize].epoch;
             let remote = origin != node as u32;
             if remote {
                 // Count it now; duration is charged at completion.
@@ -851,11 +866,14 @@ impl ClusterSim {
                 },
             );
         } else {
+            self.set_status(
+                t,
+                TaskStatus::Running {
+                    node: node as u32,
+                    container: cid,
+                },
+            );
             let task = &mut self.tasks[t as usize];
-            task.status = TaskStatus::Running {
-                node: node as u32,
-                container: cid,
-            };
             task.run_started = now;
             task.mem_synced = now;
             let epoch = task.epoch;
@@ -898,11 +916,17 @@ impl ClusterSim {
         }
         self.release_container(t, now);
 
+        self.tasks[t as usize].preemptions += 1;
         let has_image = self.has_checkpoint(t);
         let origin = self.checkpoint_origin(t);
+        self.requeue(t, has_image, origin);
+    }
+
+    /// Queues evicted task `t` again, rolled back to its last checkpoint:
+    /// from its image on `origin` if it has one, else as a fresh start.
+    fn requeue(&mut self, t: u32, has_image: bool, origin: Option<u32>) {
         let task = &mut self.tasks[t as usize];
         task.epoch += 1;
-        task.preemptions += 1;
         task.progress = task.checkpointed_progress;
         if let Some(mem) = task.memory.as_mut() {
             if has_image {
@@ -913,21 +937,28 @@ impl ClusterSim {
                 mem.mark_all_dirty();
             }
         }
-        task.status = match origin {
+        let status = match origin {
             Some(origin) if has_image => TaskStatus::Checkpointed { origin },
             _ => TaskStatus::Pending,
         };
-        self.enqueue_pending_preserving_status(t);
+        self.set_status(t, status);
+        self.enqueue_pending(t);
     }
 
-    /// `enqueue_pending` resets status to Pending; checkpointed tasks keep
-    /// their status while queued.
-    fn enqueue_pending_preserving_status(&mut self, t: u32) {
-        let status = self.tasks[t as usize].status;
-        self.enqueue_pending(t);
-        if let TaskStatus::Checkpointed { .. } = status {
-            self.tasks[t as usize].status = status;
-        }
+    /// Moves running victim `t` on `node` to `Dumping`: it stops, and its
+    /// container stays held until the dump completes.
+    fn start_dumping(&mut self, t: u32, node: usize) {
+        let container = match self.tasks[t as usize].status {
+            TaskStatus::Running { container, .. } => container,
+            _ => unreachable!("dump victim must be running"),
+        };
+        self.set_status(
+            t,
+            TaskStatus::Dumping {
+                node: node as u32,
+                container,
+            },
+        );
     }
 
     /// Suspends `t` into the node's NVRAM (the §3.2.3 backend): a shadowed
@@ -974,15 +1005,8 @@ impl ClusterSim {
                         },
                     );
                 }
+                self.start_dumping(t, node);
                 let task = &mut self.tasks[t as usize];
-                let container = match task.status {
-                    TaskStatus::Running { container, .. } => container,
-                    _ => unreachable!("dump victim must be running"),
-                };
-                task.status = TaskStatus::Dumping {
-                    node: node as u32,
-                    container,
-                };
                 task.epoch += 1;
                 task.preemptions += 1;
                 let epoch = task.epoch;
@@ -1095,15 +1119,8 @@ impl ClusterSim {
                 },
             );
         }
+        self.start_dumping(t, node);
         let task = &mut self.tasks[t as usize];
-        let container = match task.status {
-            TaskStatus::Running { container, .. } => container,
-            _ => unreachable!("dump victim must be running"),
-        };
-        task.status = TaskStatus::Dumping {
-            node: node as u32,
-            container,
-        };
         task.epoch += 1;
         task.preemptions += 1;
         let epoch = task.epoch;
@@ -1293,6 +1310,17 @@ impl ClusterSim {
         let demand = self.tasks[t as usize].spec.resources;
         let priority = self.tasks[t as usize].priority;
         let restrict = self.preempt_restrict(t);
+        // The running totals say exactly whether, and on which nodes, the
+        // greedy fill below can cover the shortfall: a node where it cannot
+        // is skipped before its victims are collected, and a search that
+        // fails everywhere changes nothing.
+        let shortcut = !self.linear();
+        if shortcut {
+            self.refresh_fit();
+            if !self.fit.search_succeeds(&demand, priority.0, restrict) {
+                return Preempted::Nothing;
+            }
+        }
 
         let mut best: Option<(f64, usize, Vec<u32>)> = None;
         for i in 0..self.nodes.len() {
@@ -1309,6 +1337,9 @@ impl ClusterSim {
             if needed.is_zero() {
                 continue; // plain placement handles this
             }
+            if shortcut && !self.fit.search_succeeds(&demand, priority.0, Some(i)) {
+                continue;
+            }
             // Collect preemptible lower-priority victims, deterministically
             // ordered.
             let mut victims: Vec<u32> = self.nodes[i]
@@ -1320,44 +1351,31 @@ impl ClusterSim {
                     task.is_preemptible() && task.priority < priority
                 })
                 .collect();
-            // The greedy fill below fails exactly when all eligible victims
-            // together cannot cover `needed`: skip ranking them.
-            if !self.linear() {
-                let eligible: Resources = victims
-                    .iter()
-                    .map(|&v| self.tasks[v as usize].spec.resources)
-                    .sum();
-                if !needed.fits_in(&eligible) {
-                    continue;
-                }
-            }
             victims.sort_unstable();
+            // Each victim with its checkpoint cost, in eviction order.
+            let mut ranked: Vec<(f64, u32)> = victims
+                .into_iter()
+                .map(|v| (self.victim_cost_secs(v, i, now), v))
+                .collect();
             match self.cfg.victim_selection {
+                // §5.2.2: lowest checkpoint cost first.
                 VictimSelection::CostAware => {
-                    // §5.2.2: lowest checkpoint cost first.
-                    let mut keyed: Vec<(f64, u32)> = victims
-                        .into_iter()
-                        .map(|v| (self.victim_cost_secs(v, i, now), v))
-                        .collect();
-                    keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                    victims = keyed.into_iter().map(|(_, v)| v).collect();
+                    ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
                 }
-                VictimSelection::Naive => {
-                    // Lowest priority, most recently started first.
-                    victims.sort_by_key(|&v| {
-                        let task = &self.tasks[v as usize];
-                        (task.priority, Reverse(task.run_started))
-                    });
-                }
+                // Lowest priority, most recently started first.
+                VictimSelection::Naive => ranked.sort_by_key(|&(_, v)| {
+                    let task = &self.tasks[v as usize];
+                    (task.priority, Reverse(task.run_started))
+                }),
             }
             let mut freed = Resources::ZERO;
             let mut chosen = Vec::new();
             let mut cost = 0.0;
-            for v in victims {
+            for (victim_cost, v) in ranked {
                 if needed.fits_in(&freed) {
                     break;
                 }
-                cost += self.victim_cost_secs(v, i, now);
+                cost += victim_cost;
                 freed += self.tasks[v as usize].spec.resources;
                 chosen.push(v);
             }
@@ -1395,9 +1413,9 @@ impl ClusterSim {
                 },
             );
             self.node_reserved[node] += demand;
-            self.fit.invalidate();
+            self.fit.invalidate(node);
             let pos = self.tasks[t as usize].queue_pos.expect("owners are queued");
-            self.pending.set_owner(pos, true, &self.tasks);
+            self.pending.set_owner(pos, true);
             Preempted::Draining
         } else {
             Preempted::Freed
@@ -1473,21 +1491,7 @@ impl ClusterSim {
         self.credit_drain(t);
         let has_image = self.has_checkpoint(t);
         let origin = self.plane.tip_origin(handle_u64(t));
-        let task = &mut self.tasks[t as usize];
-        task.epoch += 1;
-        task.progress = task.checkpointed_progress;
-        if let Some(mem) = task.memory.as_mut() {
-            if has_image {
-                mem.clear_dirty();
-            } else {
-                mem.mark_all_dirty();
-            }
-        }
-        task.status = match origin {
-            Some(origin) if has_image => TaskStatus::Checkpointed { origin },
-            _ => TaskStatus::Pending,
-        };
-        self.enqueue_pending_preserving_status(t);
+        self.requeue(t, has_image, origin);
     }
 
     /// Credits a finished (or abandoned) drain of victim `v` to the
@@ -1517,7 +1521,7 @@ impl ClusterSim {
         if let Some(mem) = task.memory.as_mut() {
             mem.mark_all_dirty();
         }
-        task.status = TaskStatus::Pending;
+        self.set_status(t, TaskStatus::Pending);
         self.enqueue_pending(t);
     }
 
@@ -1630,21 +1634,7 @@ impl ClusterSim {
 
         let has_image = self.has_checkpoint(t);
         let origin = self.checkpoint_origin(t);
-        let task = &mut self.tasks[t as usize];
-        task.epoch += 1;
-        task.progress = task.checkpointed_progress;
-        if let Some(mem) = task.memory.as_mut() {
-            if has_image {
-                mem.clear_dirty();
-            } else {
-                mem.mark_all_dirty();
-            }
-        }
-        task.status = match origin {
-            Some(origin) if has_image => TaskStatus::Checkpointed { origin },
-            _ => TaskStatus::Pending,
-        };
-        self.enqueue_pending_preserving_status(t);
+        self.requeue(t, has_image, origin);
     }
 
     /// Takes a node down, evicting everything on it. `chaos` marks a
@@ -1703,9 +1693,12 @@ impl ClusterSim {
     ///
     /// Makes exactly the decisions of a linear walk over every queued
     /// entry (the `linear` test oracle; DESIGN.md §3.1 has the argument).
-    /// While victim-search budget remains every entry is visited. After
-    /// that the pass jumps to the next entry that can act; the entries it
-    /// jumps over still count against `max_schedule_scan`.
+    /// The pass jumps to the next entry that may act. While victim-search
+    /// budget remains, that is a placement candidate or an entry whose
+    /// search can succeed, and every entry jumped over is charged one unit
+    /// of budget and one victim search, as the linear walk charges it.
+    /// After that only placement candidates act. Jumped-over entries
+    /// always count against `max_schedule_scan`.
     fn schedule_pass(&mut self, now: SimTime, q: &mut EventQueue<Event>) {
         #[cfg(test)]
         if self.linear {
@@ -1716,25 +1709,49 @@ impl ClusterSim {
         let preempts = self.cfg.policy != PreemptionPolicy::Wait;
         let mut preempt_budget = self.cfg.preempt_budget_per_pass;
         let mut max_avail = self.max_available();
-        // Victim searches that failed since the last state change: a failed
-        // search changes nothing, so an equal key fails again.
-        let mut failed: Vec<SearchKey> = Vec::new();
         let mut lo = 0usize;
         let mut scanned = 0usize;
         loop {
-            let next = if preempts && preempt_budget > 0 {
-                self.pending.first_at_or_after(lo)
-            } else {
-                self.refresh_fit();
-                let fit = &self.fit;
-                let next =
-                    self.pending
-                        .first_candidate(lo, &max_avail, |d| fit.fits_any(d), &self.tasks);
-                if let Some((pos, _)) = next {
-                    scanned += self.pending.count_range(lo, pos);
-                }
-                next
+            let searching = preempts && preempt_budget > 0;
+            self.refresh_fit();
+            let (fit, tasks) = (&self.fit, &self.tasks);
+            let succeeds = |t: u32| {
+                let task = &tasks[t as usize];
+                let (d, p) = (&task.spec.resources, task.priority.0);
+                // Success on any node is necessary, and cheaper to test
+                // first than the node a restore may be pinned to.
+                fit.search_succeeds(d, p, None)
+                    && fit.search_succeeds(d, p, self.preempt_restrict(t))
             };
+            let search = searching.then_some((fit.search_cap(), succeeds));
+            let next =
+                self.pending
+                    .first_acting(lo, &max_avail, |d| fit.fits_any(d), search, tasks);
+            let hi = next.map_or(usize::MAX, |(pos, _)| pos);
+            let skipped = self.pending.count_range(lo, hi);
+            if searching {
+                // Each skipped entry's search would fail: charge it as the
+                // linear pass does, while budget and scan cap last.
+                let charged = skipped
+                    .min(preempt_budget)
+                    .min(self.cfg.max_schedule_scan.saturating_sub(scanned));
+                preempt_budget -= charged;
+                scanned += charged;
+                self.work.victim_searches += charged as u64;
+                self.work.victim_searches_pruned += charged as u64;
+                if preempt_budget == 0 {
+                    // The rest of the skipped entries are no-ops with the
+                    // budget spent too: go on from the found entry.
+                    scanned += skipped - charged;
+                    lo = hi;
+                    continue;
+                }
+                if charged < skipped {
+                    break; // the scan cap ran out among the skipped entries
+                }
+            } else {
+                scanned += skipped;
+            }
             let Some((pos, t)) = next else { break };
             scanned += 1;
             if scanned > self.cfg.max_schedule_scan {
@@ -1753,7 +1770,6 @@ impl ClusterSim {
                 self.dequeue(t);
                 self.place_task(t, n, now, q);
                 max_avail = self.max_available();
-                failed.clear();
                 continue;
             }
             // A reservation whose drains all completed but that still
@@ -1766,39 +1782,19 @@ impl ClusterSim {
                     .is_some_and(|r| r.drains_left == 0)
             {
                 self.cancel_reservation(t);
-                failed.clear();
             }
             if !preempts || preempt_budget == 0 {
                 continue;
             }
             preempt_budget -= 1;
             self.work.victim_searches += 1;
-            let owner = self.pending.is_owner(pos);
-            let key = (
-                self.tasks[t as usize].priority,
-                demand,
-                self.preempt_restrict(t),
-            );
-            if !owner && failed.contains(&key) {
-                self.work.victim_searches_memoized += 1;
-                continue;
-            }
-            match self.try_preempt_for(t, now, q) {
-                Preempted::Nothing => {
-                    if !owner {
-                        failed.push(key);
-                    }
+            if self.try_preempt_for(t, now, q) == Preempted::Freed {
+                // Kills freed space synchronously: place now.
+                if let Some(n) = self.choose_node(t, pos, &demand, now) {
+                    self.dequeue(t);
+                    self.place_task(t, n, now, q);
                 }
-                Preempted::Draining => failed.clear(),
-                Preempted::Freed => {
-                    // Kills freed space synchronously: place now.
-                    failed.clear();
-                    if let Some(n) = self.choose_node(t, pos, &demand, now) {
-                        self.dequeue(t);
-                        self.place_task(t, n, now, q);
-                    }
-                    max_avail = self.max_available();
-                }
+                max_avail = self.max_available();
             }
         }
     }
@@ -1842,7 +1838,7 @@ impl ClusterSim {
         node
     }
 
-    /// Brings the fit index's frontier up to date.
+    /// Brings the fit index up to date.
     fn refresh_fit(&mut self) {
         let nodes = &self.nodes;
         self.fit.refresh(|i| nodes[i].up, &self.node_reserved);
@@ -1851,13 +1847,22 @@ impl ClusterSim {
     /// Debug audit of the scheduler indexes, run after every event: the
     /// pending index holds exactly the queued tasks, with exact
     /// reservation flags and a checkpoint flag wherever a restore will
-    /// draw from the RNG, and every cached per-node free capacity equals
-    /// `Node::available()`.
+    /// draw from the RNG, every cached per-node free capacity equals
+    /// `Node::available()`, and every per-node running demand by priority
+    /// equals the sum over the node's containers whose task is running.
     #[cfg(debug_assertions)]
     fn assert_index_consistent(&self) {
         let nodes = &self.nodes;
+        let running = nodes.iter().enumerate().flat_map(|(i, slot)| {
+            slot.node.containers().filter_map(move |c| {
+                let task = &self.tasks[c.task() as usize];
+                task.is_preemptible()
+                    .then_some((i, task.priority.0, task.spec.resources))
+            })
+        });
         self.fit.assert_consistent(
             |i| nodes[i].node.available(),
+            running,
             |i| nodes[i].up,
             &self.node_reserved,
         );
@@ -1990,7 +1995,7 @@ impl ClusterSim {
                 let work = self.tasks[task as usize].spec.duration.as_secs_f64();
                 self.metrics.useful_cpu_secs += cores * work;
                 self.metrics.tasks_finished += 1;
-                self.tasks[task as usize].status = TaskStatus::Finished;
+                self.set_status(task, TaskStatus::Finished);
                 self.tasks[task as usize].finished_at = Some(now);
 
                 // Drop checkpoint images / NVRAM mirrors.
@@ -2051,11 +2056,10 @@ impl ClusterSim {
                 if self.cfg.nvram.is_none() {
                     self.plane.draw_image_corruption(key, epoch);
                 }
-                let task_state = &mut self.tasks[task as usize];
-                task_state.checkpointed_progress = progress;
-                task_state.status = TaskStatus::Checkpointed { origin: node };
+                self.tasks[task as usize].checkpointed_progress = progress;
+                self.set_status(task, TaskStatus::Checkpointed { origin: node });
                 self.credit_drain(task);
-                self.enqueue_pending_preserving_status(task);
+                self.enqueue_pending(task);
                 self.schedule_pass(now, q);
             }
             Event::NodeFail(node) => {
@@ -2217,8 +2221,8 @@ impl ClusterSim {
                 // The remote flag was already recorded at placement time.
                 self.metrics
                     .charge_restore(now.since(started), cores, false);
+                self.set_status(task, TaskStatus::Running { node, container });
                 let task_state = &mut self.tasks[task as usize];
-                task_state.status = TaskStatus::Running { node, container };
                 task_state.run_started = now;
                 task_state.mem_synced = now;
                 if let Some(mem) = task_state.memory.as_mut() {

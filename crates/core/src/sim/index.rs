@@ -3,8 +3,10 @@
 //! * [`PendingQueue`] — the pending tasks, laid out by queue position so a
 //!   pass can jump to the next entry that can act and count the entries it
 //!   jumps over.
-//! * [`FitIndex`] — per-node free capacity, answering "does this demand
-//!   fit on any node" exactly in O(log nodes).
+//! * [`FitIndex`] — per-node free capacity and running demand by
+//!   priority, answering "does this demand fit on any node" and "can a
+//!   victim search for this task succeed" exactly, without looking at a
+//!   container.
 //!
 //! DESIGN.md §3.1 carries the argument that a pass over these indexes
 //! makes exactly the decisions the linear pass makes.
@@ -25,9 +27,10 @@ const BLOCK: usize = 64;
 /// breaks the remaining ties.
 pub(super) type QueueGroup = (u8, usize);
 
-/// Aggregate of the entries queued in a range of positions: their count
-/// and component-wise lower bounds of their demands, which prune whole
-/// ranges in a candidate search.
+/// Aggregate of the entries queued in a range of positions: their count,
+/// component-wise lower bounds of their demands and their highest
+/// priority, which prune whole ranges in a search for an entry that may
+/// act.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Summary {
     count: u32,
@@ -38,6 +41,8 @@ struct Summary {
     /// Component-wise minimum demand over entries flagged as restoring
     /// from a checkpoint.
     ckpt_min: (u64, u64),
+    /// Highest priority over every entry.
+    max_prio: u8,
 }
 
 impl Summary {
@@ -46,6 +51,7 @@ impl Summary {
         owners: 0,
         min: (u64::MAX, u64::MAX),
         ckpt_min: (u64::MAX, u64::MAX),
+        max_prio: 0,
     };
 
     fn merge(a: &Summary, b: &Summary) -> Summary {
@@ -57,6 +63,7 @@ impl Summary {
                 a.ckpt_min.0.min(b.ckpt_min.0),
                 a.ckpt_min.1.min(b.ckpt_min.1),
             ),
+            max_prio: a.max_prio.max(b.max_prio),
         }
     }
 }
@@ -102,8 +109,11 @@ impl PendingQueue {
     /// An empty queue with a position for every task: `groups` yields
     /// each group with a number of tasks it holds (a group may repeat).
     pub(super) fn new(groups: impl IntoIterator<Item = (QueueGroup, u32)>) -> Self {
-        let mut next_pos: Vec<Vec<u32>> = vec![Vec::new(); 1 << u8::BITS];
+        let mut next_pos: Vec<Vec<u32>> = Vec::new();
         for ((priority, slot), tasks) in groups {
+            if next_pos.len() <= priority as usize {
+                next_pos.resize(priority as usize + 1, Vec::new());
+            }
             let sizes = &mut next_pos[priority as usize];
             if sizes.len() <= slot {
                 sizes.resize(slot + 1, 0);
@@ -156,7 +166,16 @@ impl PendingQueue {
         self.present[b] |= bit;
         set_bit(&mut self.ckpt[b], bit, ckpt);
         self.len += 1;
-        self.refresh(b, tasks);
+        let task = &tasks[self.task_at[pos as usize] as usize];
+        let d = pair(&task.spec.resources);
+        let entry = Summary {
+            count: 1,
+            owners: 0,
+            min: d,
+            ckpt_min: if ckpt { d } else { Summary::EMPTY.ckpt_min },
+            max_prio: task.priority.0,
+        };
+        self.update(b, Summary::merge(&self.tree[self.leaves + b], &entry));
     }
 
     /// Dequeues the task at `pos`.
@@ -171,11 +190,17 @@ impl PendingQueue {
     }
 
     /// Marks whether the queued task at `pos` owns a reservation.
-    pub(super) fn set_owner(&mut self, pos: u32, owner: bool, tasks: &[TaskState]) {
+    pub(super) fn set_owner(&mut self, pos: u32, owner: bool) {
         let (b, bit) = split(pos);
         if (self.owner[b] & bit != 0) != owner {
             set_bit(&mut self.owner[b], bit, owner);
-            self.refresh(b, tasks);
+            let mut leaf = self.tree[self.leaves + b];
+            if owner {
+                leaf.owners += 1;
+            } else {
+                leaf.owners -= 1;
+            }
+            self.update(b, leaf);
         }
     }
 
@@ -207,20 +232,28 @@ impl PendingQueue {
     }
 
     /// The first queued `(position, task)` at or after `lo`.
+    #[cfg(test)]
     pub(super) fn first_at_or_after(&self, lo: usize) -> Option<(usize, u32)> {
         self.find(lo, |s| s.count > 0, |_| true)
     }
 
     /// The first queued `(position, task)` at or after `lo` that can act
-    /// in a pass whose loose capacity bound is `max_avail`: its task owns
-    /// a reservation, or it restores through an RNG draw and passes the
-    /// loose bound, or its demand passes the loose bound and `fits` some
-    /// node. Every entry skipped on the way is a no-op.
-    pub(super) fn first_candidate(
+    /// in a pass whose loose capacity bound is `max_avail`. A *candidate*
+    /// can: its task owns a reservation, or it restores through an RNG
+    /// draw and passes the loose bound, or its demand passes the loose
+    /// bound and `fits` some node. While preemption budget remains
+    /// (`search` given), so can a task whose victim search succeeds:
+    /// `cap[p]` bounds, per dimension, every demand a search at priority
+    /// `p` can satisfy, and grows with `p`; `succeeds(t)` is the exact
+    /// search test for a task without a reservation whose demand passes
+    /// that bound. Every entry skipped on the way is a no-op, apart from
+    /// the unit of budget the pass charges it while budget remains.
+    pub(super) fn first_acting(
         &self,
         lo: usize,
         max_avail: &Resources,
         fits: impl Fn(&Resources) -> bool,
+        search: Option<(&[Resources], impl Fn(u32) -> bool)>,
         tasks: &[TaskState],
     ) -> Option<(usize, u32)> {
         let bound_fits = |d: (u64, u64)| {
@@ -228,27 +261,50 @@ impl PendingQueue {
         };
         self.find(
             lo,
-            |s| s.owners > 0 || pair_fits(s.ckpt_min, max_avail) || bound_fits(s.min),
+            |s| {
+                s.owners > 0
+                    || pair_fits(s.ckpt_min, max_avail)
+                    || bound_fits(s.min)
+                    // Every demand here is at least `min` and every
+                    // priority at most `max_prio`, and `cap` grows with
+                    // priority: no search here succeeds unless `min` fits
+                    // `cap[max_prio]`.
+                    || search
+                        .as_ref()
+                        .is_some_and(|(cap, _)| pair_fits(s.min, &cap[s.max_prio as usize]))
+            },
             |pos| {
                 let (b, bit) = split(pos as u32);
                 if self.owner[b] & bit != 0 {
                     return true;
                 }
-                let d = pair(&tasks[self.task_at[pos] as usize].spec.resources);
-                (self.ckpt[b] & bit != 0 && pair_fits(d, max_avail)) || bound_fits(d)
+                let t = self.task_at[pos];
+                let task = &tasks[t as usize];
+                let d = pair(&task.spec.resources);
+                (self.ckpt[b] & bit != 0 && pair_fits(d, max_avail))
+                    || bound_fits(d)
+                    || search.as_ref().is_some_and(|(cap, succeeds)| {
+                        pair_fits(d, &cap[task.priority.0 as usize]) && succeeds(t)
+                    })
             },
         )
     }
 
     /// Queued entries at positions in `lo..hi`.
     pub(super) fn count_range(&self, lo: usize, hi: usize) -> usize {
-        self.count_before(hi) - self.count_before(lo)
+        let end = self.task_at.len();
+        self.count_before(hi.min(end)) - self.count_before(lo.min(end))
     }
 
     /// Recomputes the exact leaf summary of block `b` and its ancestors.
     fn refresh(&mut self, b: usize, tasks: &[TaskState]) {
+        self.update(b, self.summarize(b, tasks));
+    }
+
+    /// Sets the leaf summary of block `b` and recomputes its ancestors.
+    fn update(&mut self, b: usize, leaf: Summary) {
         let mut node = self.leaves + b;
-        self.tree[node] = self.summarize(b, tasks);
+        self.tree[node] = leaf;
         while node > 1 {
             node /= 2;
             self.tree[node] = Summary::merge(&self.tree[2 * node], &self.tree[2 * node + 1]);
@@ -259,10 +315,12 @@ impl PendingQueue {
     fn summarize(&self, b: usize, tasks: &[TaskState]) -> Summary {
         let mut s = Summary::EMPTY;
         for i in Bits(self.present[b]) {
-            let d = pair(&tasks[self.task_at[b * BLOCK + i] as usize].spec.resources);
+            let task = &tasks[self.task_at[b * BLOCK + i] as usize];
+            let d = pair(&task.spec.resources);
             let bit = 1u64 << i;
             s.count += 1;
             s.min = (s.min.0.min(d.0), s.min.1.min(d.1));
+            s.max_prio = s.max_prio.max(task.priority.0);
             if self.owner[b] & bit != 0 {
                 s.owners += 1;
             }
@@ -322,8 +380,9 @@ impl PendingQueue {
         None
     }
 
-    /// First block at or after `start` within tree node `node` (covering
-    /// blocks `lo..hi`) whose every ancestor and itself pass `ok`.
+    /// First non-empty block at or after `start` within tree node `node`
+    /// (covering blocks `lo..hi`) that passes `ok`, as does every ancestor
+    /// lying wholly at or after `start`.
     fn next_block(
         &self,
         node: usize,
@@ -332,7 +391,10 @@ impl PendingQueue {
         start: usize,
         ok: &impl Fn(&Summary) -> bool,
     ) -> Option<usize> {
-        if hi <= start || !ok(&self.tree[node]) {
+        // A node reaching below `start` also summarizes blocks already
+        // searched, so it is not tested: only nodes wholly at or after
+        // `start` are pruned.
+        if hi <= start || self.tree[node].count == 0 || (lo >= start && !ok(&self.tree[node])) {
             return None;
         }
         if hi - lo == 1 {
@@ -404,29 +466,57 @@ impl Iterator for Bits {
     }
 }
 
-/// Per-node free capacity and its Pareto frontier.
+/// Per-node free capacity, its Pareto frontier, and what a victim search
+/// can clear on each node.
 ///
-/// `avail` mirrors `Node::available()` and is kept current by the
-/// simulator on every allocate and release. The frontier is the set of
-/// maximal free vectors (availability minus reservations; zero while a
-/// node is down) — exactly what a task without a reservation of its own
-/// can use — rebuilt lazily after any capacity, reservation or up/down
-/// change.
+/// `avail` mirrors `Node::available()` and `running` the summed demand of
+/// each node's running (preemptible) tasks by priority; the simulator
+/// keeps both current on every allocate and release and on every
+/// transition into or out of `Running`. From them the reach table holds,
+/// per node and priority `p`, the node's free vector (availability minus
+/// reservations; zero while the node is down) plus its running demand
+/// below `p`: column 0 is exactly what a task without a reservation of
+/// its own can use, column `p` exactly what a victim search by such a task
+/// at priority `p` can clear. The frontier is the set of maximal free
+/// vectors. A node's cells are rebuilt lazily after a change on it, the
+/// per-dimension column maxima with them, and the frontier after any free
+/// vector changed.
 pub(super) struct FitIndex {
     avail: Vec<Resources>,
+    /// Priority levels tracked: every task priority is below this.
+    levels: usize,
+    /// Summed demand of the running tasks of priority `q` on node `i`, at
+    /// `i * levels + q`.
+    running: Vec<Resources>,
+    /// Node `i`'s free vector plus its running demand below priority `p`,
+    /// at `p * nodes + i`.
+    reach: Vec<Resources>,
+    /// Per-dimension maximum over nodes of each reach column.
+    cap: Vec<Resources>,
+    /// Nodes whose reach cells are out of date.
+    stale_nodes: Vec<bool>,
+    /// True if any node's reach cells are out of date.
+    stale: bool,
     /// Maximal free vectors, cpu strictly descending (so mem strictly
     /// ascending).
     frontier: Vec<Resources>,
-    stale: bool,
+    frontier_stale: bool,
 }
 
 impl FitIndex {
-    /// An index over `nodes` nodes, each with `capacity` free.
-    pub(super) fn new(nodes: usize, capacity: Resources) -> Self {
+    /// An index over `nodes` nodes, each with `capacity` free and nothing
+    /// running, for tasks of priorities below `levels`.
+    pub(super) fn new(nodes: usize, capacity: Resources, levels: usize) -> Self {
         FitIndex {
             avail: vec![capacity; nodes],
-            frontier: Vec::new(),
+            levels,
+            running: vec![Resources::ZERO; nodes * levels],
+            reach: vec![Resources::ZERO; levels * nodes],
+            cap: vec![Resources::ZERO; levels],
+            stale_nodes: vec![true; nodes],
             stale: true,
+            frontier: Vec::new(),
+            frontier_stale: true,
         }
     }
 
@@ -434,21 +524,71 @@ impl FitIndex {
     pub(super) fn set_avail(&mut self, i: usize, avail: Resources) {
         if self.avail[i] != avail {
             self.avail[i] = avail;
-            self.stale = true;
+            self.invalidate(i);
         }
     }
 
-    /// Marks the frontier out of date (a reservation or up/down change).
-    pub(super) fn invalidate(&mut self) {
+    /// Records that a task of priority `q` demanding `demand` starts
+    /// (`on`) or stops running on node `i`.
+    pub(super) fn set_running(&mut self, i: usize, q: u8, demand: Resources, on: bool) {
+        let slot = &mut self.running[i * self.levels + q as usize];
+        if on {
+            *slot += demand;
+        } else {
+            *slot -= demand;
+        }
+        self.stale_nodes[i] = true;
         self.stale = true;
     }
 
-    /// Rebuilds the frontier if anything changed since the last build.
+    /// Marks node `i`'s free vector out of date (its availability,
+    /// reservations or up/down state changed).
+    pub(super) fn invalidate(&mut self, i: usize) {
+        self.stale_nodes[i] = true;
+        self.stale = true;
+        self.frontier_stale = true;
+    }
+
+    /// Rebuilds the reach cells of every node changed since the last
+    /// build, the column maxima and, if a free vector changed, the
+    /// frontier. A column's maximum is recomputed over all nodes only when
+    /// the node that held it lost capacity there; otherwise the new cell is
+    /// folded in.
     pub(super) fn refresh(&mut self, up: impl Fn(usize) -> bool, reserved: &[Resources]) {
-        if self.stale {
-            self.frontier = frontier(&self.avail, up, reserved);
-            self.stale = false;
+        if !self.stale {
+            return;
         }
+        let n = self.avail.len();
+        // Columns to recompute, one bit per priority level.
+        let mut recompute = [0u64; (u8::MAX as usize + 1) / 64];
+        for (i, stale) in self.stale_nodes.iter_mut().enumerate() {
+            if !std::mem::take(stale) {
+                continue;
+            }
+            let free = free_vector(i, &self.avail, &up, reserved);
+            let running = &self.running[i * self.levels..][..self.levels];
+            for (p, new) in reach_cells(free, running).enumerate() {
+                let (old, cap) = (self.reach[p * n + i], &mut self.cap[p]);
+                self.reach[p * n + i] = new;
+                let lost_cpu =
+                    new.cpu_milli() < old.cpu_milli() && old.cpu_milli() == cap.cpu_milli();
+                let lost_mem = new.mem() < old.mem() && old.mem() == cap.mem();
+                if lost_cpu || lost_mem {
+                    recompute[p / 64] |= 1 << (p % 64);
+                } else {
+                    *cap = max_pair(cap, &new);
+                }
+            }
+        }
+        for (p, column) in self.reach.chunks(n).enumerate() {
+            if recompute[p / 64] & (1 << (p % 64)) != 0 {
+                self.cap[p] = column.iter().fold(Resources::ZERO, |c, r| max_pair(&c, r));
+            }
+        }
+        if std::mem::take(&mut self.frontier_stale) {
+            frontier(&self.reach[..n], &mut self.frontier);
+        }
+        self.stale = false;
     }
 
     /// True if `demand` fits the free capacity of some node (for a task
@@ -461,12 +601,37 @@ impl FitIndex {
         k > 0 && demand.mem() <= self.frontier[k - 1].mem()
     }
 
-    /// Debug audit: the cached availability matches the nodes, and a
-    /// fresh frontier matches the recomputed one.
+    /// Per priority, a per-dimension upper bound on every demand a victim
+    /// search at that priority can satisfy.
+    pub(super) fn search_cap(&self) -> &[Resources] {
+        debug_assert!(!self.stale, "reach table queried while stale");
+        &self.cap
+    }
+
+    /// True if a victim search by a task of priority `p` demanding
+    /// `demand`, without a reservation of its own and limited to node
+    /// `only` if given, finds a victim set: some up node lacks the free
+    /// capacity but would have it with every task below `p` evicted.
+    pub(super) fn search_succeeds(&self, demand: &Resources, p: u8, only: Option<usize>) -> bool {
+        debug_assert!(!self.stale, "reach table queried while stale");
+        let n = self.avail.len();
+        let (free, reach) = (&self.reach[..n], &self.reach[p as usize * n..][..n]);
+        let succeeds = |i: usize| !demand.fits_in(&free[i]) && demand.fits_in(&reach[i]);
+        match only {
+            Some(i) => succeeds(i),
+            None => (0..n).any(succeeds),
+        }
+    }
+
+    /// Debug audit: the cached availability matches the nodes, the running
+    /// demand matches the sum over `running` (each running task's node,
+    /// priority and demand), and a fresh reach table, its column maxima and
+    /// the frontier match rebuilt ones.
     #[cfg(debug_assertions)]
     pub(super) fn assert_consistent(
         &self,
         available: impl Fn(usize) -> Resources,
+        running: impl Iterator<Item = (usize, u8, Resources)>,
         up: impl Fn(usize) -> bool,
         reserved: &[Resources],
     ) {
@@ -477,40 +642,86 @@ impl FitIndex {
                 "cached free capacity of node {i} is stale"
             );
         }
-        if !self.stale {
-            assert!(
-                self.frontier == frontier(&self.avail, up, reserved),
-                "fit frontier out of date"
+        let mut expected = vec![Resources::ZERO; self.running.len()];
+        for (i, q, demand) in running {
+            expected[i * self.levels + q as usize] += demand;
+        }
+        for (k, (cached, expected)) in self.running.iter().zip(&expected).enumerate() {
+            assert_eq!(
+                cached,
+                expected,
+                "running demand of node {} at priority {} is stale",
+                k / self.levels,
+                k % self.levels
             );
+        }
+        if !self.stale {
+            let n = self.avail.len();
+            let mut reach = vec![Resources::ZERO; self.reach.len()];
+            for i in 0..n {
+                let free = free_vector(i, &self.avail, &up, reserved);
+                let running = &self.running[i * self.levels..][..self.levels];
+                for (p, r) in reach_cells(free, running).enumerate() {
+                    reach[p * n + i] = r;
+                }
+            }
+            let cap: Vec<Resources> = reach
+                .chunks(n)
+                .map(|column| column.iter().fold(Resources::ZERO, |c, r| max_pair(&c, r)))
+                .collect();
+            assert!(self.reach == reach, "reach table out of date");
+            assert!(self.cap == cap, "reach column maxima out of date");
+            let mut rebuilt = Vec::new();
+            frontier(&reach[..n], &mut rebuilt);
+            assert!(self.frontier == rebuilt, "fit frontier out of date");
         }
     }
 }
 
-/// The maximal free vectors over all nodes.
-fn frontier(
+/// Node `i`'s free vector: availability minus reservations, zero while
+/// down.
+fn free_vector(
+    i: usize,
     avail: &[Resources],
     up: impl Fn(usize) -> bool,
     reserved: &[Resources],
-) -> Vec<Resources> {
-    let mut free: Vec<Resources> = avail
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            if up(i) {
-                a.saturating_sub(&reserved[i])
-            } else {
-                Resources::ZERO
-            }
-        })
-        .collect();
-    free.sort_unstable_by_key(|f| Reverse((f.cpu_milli(), f.mem())));
-    let mut out: Vec<Resources> = Vec::with_capacity(free.len());
-    for f in free {
-        if out.last().is_none_or(|last| f.mem() > last.mem()) {
-            out.push(f);
+) -> Resources {
+    if up(i) {
+        avail[i].saturating_sub(&reserved[i])
+    } else {
+        Resources::ZERO
+    }
+}
+
+/// A node's reach cells by priority: `free` plus its `running` demand
+/// below each priority. (A down node runs nothing, so its cells are zero.)
+fn reach_cells(free: Resources, running: &[Resources]) -> impl Iterator<Item = Resources> + '_ {
+    running.iter().scan(free, |r, run| {
+        let cell = *r;
+        *r += *run;
+        Some(cell)
+    })
+}
+
+/// Rebuilds in `out` the maximal vectors among the `free` vectors.
+fn frontier(free: &[Resources], out: &mut Vec<Resources>) {
+    out.clear();
+    out.extend_from_slice(free);
+    out.sort_unstable_by_key(|f| Reverse((f.cpu_milli(), f.mem())));
+    // Keep each vector whose mem beats every vector with more cpu.
+    let mut kept = 0;
+    for k in 0..out.len() {
+        if kept == 0 || out[k].mem() > out[kept - 1].mem() {
+            out[kept] = out[k];
+            kept += 1;
         }
     }
-    out
+    out.truncate(kept);
+}
+
+/// The per-dimension maximum of two vectors.
+fn max_pair(a: &Resources, b: &Resources) -> Resources {
+    Resources::new(a.cpu_milli().max(b.cpu_milli()), a.mem().max(b.mem()))
 }
 
 #[cfg(test)]
@@ -531,7 +742,7 @@ mod tests {
             r(3000, 5),
         ];
         let reserved = [r(0, 0), r(0, 0), r(500, 0), r(0, 0), r(0, 0)];
-        let mut idx = FitIndex::new(avail.len(), r(0, 0));
+        let mut idx = FitIndex::new(avail.len(), r(0, 0), 1);
         for (i, a) in avail.iter().enumerate() {
             idx.set_avail(i, *a);
         }
@@ -551,6 +762,241 @@ mod tests {
                 assert_eq!(idx.fits_any(&d), brute, "{d:?}");
             }
         }
+    }
+
+    /// A deterministic stream of small numbers (an LCG).
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    fn task(index: u32, priority: u8, demand: Resources) -> TaskState {
+        use cbp_simkit::{SimDuration, SimTime};
+        use cbp_workload::{JobId, Priority, TaskId, TaskSpec};
+        let spec = TaskSpec {
+            id: TaskId {
+                job: JobId(0),
+                index,
+            },
+            resources: demand,
+            duration: SimDuration::from_secs(100),
+            dirty_rate_per_sec: 0.0,
+        };
+        TaskState::new(spec, Priority(priority), 0, SimTime::ZERO)
+    }
+
+    #[test]
+    fn merge_carries_the_maximum_priority() {
+        let (low, high) = (
+            Summary {
+                count: 2,
+                owners: 1,
+                min: (500, 7),
+                ckpt_min: (u64::MAX, u64::MAX),
+                max_prio: 3,
+            },
+            Summary {
+                count: 1,
+                owners: 0,
+                min: (900, 2),
+                ckpt_min: (900, 2),
+                max_prio: 9,
+            },
+        );
+        let merged = Summary {
+            count: 3,
+            owners: 1,
+            min: (500, 2),
+            ckpt_min: (900, 2),
+            max_prio: 9,
+        };
+        assert_eq!(Summary::merge(&low, &high), merged);
+        assert_eq!(Summary::merge(&high, &low), merged);
+        assert_eq!(Summary::merge(&Summary::EMPTY, &low), low);
+    }
+
+    /// A node of the search tests: its availability, its running tasks as
+    /// `(priority, demand)`, and its reservations.
+    type TestNode = (Resources, Vec<(u8, Resources)>, Resources);
+
+    fn cluster(draws: &mut Draws, nodes: usize) -> Vec<TestNode> {
+        (0..nodes)
+            .map(|_| {
+                let running = (0..draws.below(6))
+                    .map(|_| {
+                        (
+                            draws.below(6) as u8,
+                            r(250 * draws.below(9), draws.below(30)),
+                        )
+                    })
+                    .collect();
+                let avail = r(250 * draws.below(9), draws.below(30));
+                let reserved = r(250 * draws.below(3), draws.below(10));
+                (avail, running, reserved)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn search_succeeds_matches_the_greedy_fill() {
+        let mut draws = Draws(7);
+        for round in 0..200 {
+            let nodes = cluster(&mut draws, 1 + round % 5);
+            let up = |i: usize| i % 4 != 3;
+            let reserved: Vec<Resources> = nodes.iter().map(|n| n.2).collect();
+            let mut idx = FitIndex::new(nodes.len(), r(0, 0), 6);
+            for (i, (avail, running, _)) in nodes.iter().enumerate() {
+                idx.set_avail(i, *avail);
+                for &(q, d) in running.iter().filter(|_| up(i)) {
+                    idx.set_running(i, q, d, true);
+                }
+            }
+            idx.refresh(up, &reserved);
+            for _ in 0..50 {
+                let (p, d) = (
+                    draws.below(6) as u8,
+                    r(250 * draws.below(12), draws.below(40)),
+                );
+                let only = (draws.below(3) == 0).then(|| draws.below(nodes.len() as u64) as usize);
+                // `try_preempt_for` without a reservation: evict victims
+                // below `p` one by one until the shortfall is covered.
+                let greedy = nodes.iter().enumerate().any(|(i, (avail, running, res))| {
+                    if !up(i) || only.is_some_and(|o| o != i) {
+                        return false;
+                    }
+                    let needed = d.saturating_sub(&avail.saturating_sub(res));
+                    if needed.is_zero() {
+                        return false;
+                    }
+                    let mut freed = Resources::ZERO;
+                    for &(_, v) in running.iter().filter(|(q, _)| *q < p) {
+                        if needed.fits_in(&freed) {
+                            break;
+                        }
+                        freed += v;
+                    }
+                    needed.fits_in(&freed)
+                });
+                assert_eq!(
+                    idx.search_succeeds(&d, p, only),
+                    greedy,
+                    "{d:?} at {p}, only {only:?}"
+                );
+                if greedy && only.is_none() {
+                    assert!(d.fits_in(&idx.search_cap()[p as usize]), "cap below {d:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn budget_finder_skips_only_entries_that_cannot_act() {
+        let mut draws = Draws(11);
+        // Entries found only because their search succeeds, and entries
+        // skipped, over every round: both must occur.
+        let (mut searchers, mut skips) = (0, 0);
+        for round in 0..40 {
+            // A mixed queue over several blocks: priorities 0..6, FIFO
+            // within each, some owners and some checkpoint flags.
+            let tasks: Vec<TaskState> = (0..150 + 20 * round)
+                .map(|k| {
+                    task(
+                        k,
+                        draws.below(6) as u8,
+                        r(250 * draws.below(12), draws.below(40)),
+                    )
+                })
+                .collect();
+            let mut queue = PendingQueue::new(tasks.iter().map(|t| ((t.priority.0, 0), 1)));
+            let mut queued = Vec::new();
+            for (t, state) in tasks.iter().enumerate() {
+                let pos = queue.assign((state.priority.0, 0), t as u32);
+                if draws.below(4) != 0 {
+                    queue.insert(pos, draws.below(8) == 0, &tasks);
+                    queue.set_owner(pos, draws.below(25) == 0);
+                    queued.push(pos as usize);
+                }
+            }
+            queued.sort_unstable();
+
+            let nodes = cluster(&mut draws, 2 + round as usize % 4);
+            let up = |i: usize| i != 2;
+            let reserved: Vec<Resources> = nodes.iter().map(|n| n.2).collect();
+            let mut fit = FitIndex::new(nodes.len(), r(0, 0), 6);
+            for (i, (avail, running, _)) in nodes.iter().enumerate() {
+                fit.set_avail(i, *avail);
+                for &(q, d) in running.iter().filter(|_| up(i)) {
+                    fit.set_running(i, q, d, true);
+                }
+            }
+            fit.refresh(up, &reserved);
+            let max_avail = nodes
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| up(*i))
+                .fold(Resources::ZERO, |m, (_, n)| max_pair(&m, &n.0));
+            // Every third task is pinned to node 0, as a local-only
+            // restore pins a checkpointed task to its origin.
+            let only = |t: u32| t.is_multiple_of(3).then_some(0);
+            let candidate = |pos: usize| {
+                let d = tasks[queue.task_at[pos] as usize].spec.resources;
+                queue.is_owner(pos as u32)
+                    || (queue.is_ckpt(pos as u32) && d.fits_in(&max_avail))
+                    || (d.fits_in(&max_avail) && fit.fits_any(&d))
+            };
+            let search = |pos: usize| {
+                let t = queue.task_at[pos];
+                let task = &tasks[t as usize];
+                fit.search_succeeds(&task.spec.resources, task.priority.0, only(t))
+            };
+            let acts = |pos: usize| candidate(pos) || search(pos);
+            searchers += queued
+                .iter()
+                .filter(|&&pos| search(pos) && !candidate(pos))
+                .count();
+            skips += queued.iter().filter(|&&pos| !acts(pos)).count();
+            let searches = |t: u32| {
+                let task = &tasks[t as usize];
+                fit.search_succeeds(&task.spec.resources, task.priority.0, only(t))
+            };
+            let fits = |d: &Resources| fit.fits_any(d);
+            for lo in 0..=queue.task_at.len() {
+                let expected = queued.iter().copied().find(|&pos| pos >= lo && acts(pos));
+                let found = queue.first_acting(
+                    lo,
+                    &max_avail,
+                    fits,
+                    Some((fit.search_cap(), searches)),
+                    &tasks,
+                );
+                assert_eq!(
+                    found.map(|(pos, _)| pos),
+                    expected,
+                    "round {round}, from {lo}"
+                );
+                let skipped = queued
+                    .iter()
+                    .filter(|&&pos| pos >= lo && expected.is_none_or(|e| pos < e));
+                assert_eq!(
+                    queue.count_range(lo, expected.unwrap_or(usize::MAX)),
+                    skipped.count(),
+                    "round {round}, skipped from {lo}"
+                );
+            }
+            #[cfg(debug_assertions)]
+            queue.assert_consistent(&tasks);
+        }
+        assert!(
+            searchers > 100 && skips > 1000,
+            "{searchers} searchers, {skips} skips"
+        );
     }
 
     #[test]

@@ -216,24 +216,35 @@ mod tests {
     }
 
     /// The default caps (the benchmark's shape) on a busier scenario, where
-    /// the indexed pass skips most of the queue.
+    /// the indexed pass skips most of the queue: under each policy, with
+    /// Fair queueing (jobs interleave, so priorities and demands mix along
+    /// the queue), with local-only restores (a checkpointed task's search
+    /// is pinned to its origin) and with node failures (nodes leave and
+    /// rejoin the search).
     #[test]
     fn indexed_pass_matches_linear_oracle_at_default_caps() {
-        for (policy, plan) in [
-            (PreemptionPolicy::Adaptive, None),
-            (PreemptionPolicy::Checkpoint, Some("chaos")),
-            (PreemptionPolicy::Kill, Some("heavy")),
+        use PreemptionPolicy::{Adaptive, Checkpoint, Kill};
+        // (policy, plan, fair, local_only, failures)
+        for (policy, plan, fair, local_only, failures) in [
+            (Adaptive, None, false, false, false),
+            (Checkpoint, Some("chaos"), false, false, false),
+            (Kill, Some("heavy"), false, false, false),
+            (Adaptive, None, true, false, false),
+            (Checkpoint, None, false, true, false),
+            (Adaptive, None, false, false, true),
         ] {
-            let (mut cfg, _) = scenario(3, 8, false, policy, plan, false, false, false, 1, 0);
+            let case = format!("{policy} fair={fair} local_only={local_only} failures={failures}");
+            let (mut cfg, _) =
+                scenario(3, 8, fair, policy, plan, false, local_only, failures, 1, 0);
             cfg.max_schedule_scan = 3_000;
             cfg.preempt_budget_per_pass = 64;
             let workload = GoogleTraceConfig::small(120.0).generate(3);
             let oracle = run(&cfg, &workload, true);
             let indexed = run(&cfg, &workload, false);
-            assert!(oracle.0 == indexed.0, "{policy}: JSONL traces differ");
-            assert_eq!(oracle.1, indexed.1, "{policy}: metrics differ");
-            assert_eq!(oracle.2, indexed.2, "{policy}: registries differ");
-            assert_eq!(oracle.3, indexed.3, "{policy}: pass counts differ");
+            assert!(oracle.0 == indexed.0, "{case}: JSONL traces differ");
+            assert_eq!(oracle.1, indexed.1, "{case}: metrics differ");
+            assert_eq!(oracle.2, indexed.2, "{case}: registries differ");
+            assert_eq!(oracle.3, indexed.3, "{case}: pass counts differ");
         }
     }
 }

@@ -231,35 +231,58 @@ fn restore_placement_ablation() {
     assert_eq!(aware.metrics.jobs_finished, local.metrics.jobs_finished);
 }
 
-/// Victim selection strategies both complete the workload; cost-aware does
-/// not checkpoint more bytes than naive (it picks cheaper victims).
+/// Victim selection strategies both preempt and complete the workload on
+/// every seed. On this small cluster cost-aware ranking does not cut the
+/// total dump overhead: measured per seed it is 0.92–1.15× naive's, and
+/// summed over the sweep within 1% of it.
 #[test]
 fn victim_selection_ablation() {
-    let w = contended_workload(10);
-    let naive = small_cluster(PreemptionPolicy::Checkpoint, MediaKind::Hdd)
-        .with_victim_selection(VictimSelection::Naive)
-        .run(&w);
-    let aware = small_cluster(PreemptionPolicy::Checkpoint, MediaKind::Hdd)
-        .with_victim_selection(VictimSelection::CostAware)
-        .run(&w);
-    assert_eq!(naive.metrics.jobs_finished, aware.metrics.jobs_finished);
-    assert!(naive.metrics.preemptions > 0);
-    assert!(aware.metrics.preemptions > 0);
+    let (mut naive_total, mut aware_total) = (0.0, 0.0);
+    for seed in SWEEP_SEEDS {
+        let w = contended_workload(seed);
+        let run = |selection| {
+            small_cluster(PreemptionPolicy::Checkpoint, MediaKind::Hdd)
+                .with_victim_selection(selection)
+                .run(&w)
+                .metrics
+        };
+        let (naive, aware) = (run(VictimSelection::Naive), run(VictimSelection::CostAware));
+        for m in [&naive, &aware] {
+            assert_eq!(m.jobs_finished, w.job_count() as u64, "seed {seed}");
+            assert!(m.preemptions > 0, "seed {seed}");
+        }
+        let ratio = aware.dump_overhead_cpu_hours / naive.dump_overhead_cpu_hours;
+        assert!(
+            ratio < 1.2,
+            "seed {seed}: cost-aware/naive dump overhead {ratio}"
+        );
+        naive_total += naive.dump_overhead_cpu_hours;
+        aware_total += aware.dump_overhead_cpu_hours;
+    }
+    assert!(
+        aware_total < naive_total * 1.05,
+        "summed dump overhead: cost-aware {aware_total} vs naive {naive_total}"
+    );
 }
 
 /// CPU accounting is conserved: useful work equals the workload's total
-/// CPU-hours under every policy (waste is *extra*, not subtracted).
+/// CPU-hours under every policy (waste is *extra*, not subtracted), on
+/// every seed, up to float summation order (measured relative error at
+/// most 1.4e-15).
 #[test]
 fn useful_work_is_conserved() {
-    let w = contended_workload(11);
-    let expected = w.total_cpu_hours();
-    for policy in [PreemptionPolicy::Kill, PreemptionPolicy::Checkpoint] {
-        let report = small_cluster(policy, MediaKind::Ssd).run(&w);
-        let useful = report.metrics.useful_cpu_hours;
-        assert!(
-            (useful - expected).abs() / expected < 0.01,
-            "{policy}: useful {useful} vs workload {expected}"
-        );
+    for seed in SWEEP_SEEDS {
+        let w = contended_workload(seed);
+        let expected = w.total_cpu_hours();
+        for policy in [PreemptionPolicy::Kill, PreemptionPolicy::Checkpoint] {
+            let report = small_cluster(policy, MediaKind::Ssd).run(&w);
+            assert!(report.metrics.preemptions > 0, "seed {seed}, {policy}");
+            let useful = report.metrics.useful_cpu_hours;
+            assert!(
+                (useful - expected).abs() / expected < 1e-9,
+                "seed {seed}, {policy}: useful {useful} vs workload {expected}"
+            );
+        }
     }
 }
 

@@ -15,8 +15,14 @@ use cbp_yarn::{YarnConfig, YarnReport};
 /// seed-dependent, so this probes forward from `seed` (deterministically)
 /// until the kill-policy run actually preempts.
 fn workload(seed: u64) -> Workload {
+    contended_draw(seed, seed).1
+}
+
+/// The first contended draw at or after `from` (at most 20 draws past
+/// `seed`), and its workload.
+fn contended_draw(seed: u64, from: u64) -> (u64, Workload) {
     use cbp_workload::kmeans::KMeansJob;
-    for probe in seed..seed + 20 {
+    for probe in from..seed + 20 {
         let w = FacebookConfig {
             jobs: 16,
             total_tasks: 340,
@@ -33,11 +39,32 @@ fn workload(seed: u64) -> Workload {
             .run(&w)
             .kills;
         if kills > 0 {
-            return w;
+            return (probe, w);
         }
     }
     panic!("no contended draw within 20 seeds of {seed}");
 }
+
+/// The workloads of a seed sweep over `0..SWEEP_SEEDS`. Each seed probes
+/// forward like [`workload`] but skips the draws lower seeds took, so
+/// every seed runs its own workload.
+fn sweep() -> Vec<(u64, Workload)> {
+    let mut next = 0;
+    let sweep: Vec<(u64, u64, Workload)> = (0..SWEEP_SEEDS)
+        .map(|seed| {
+            let (draw, w) = contended_draw(seed, next.max(seed));
+            next = draw + 1;
+            (seed, draw, w)
+        })
+        .collect();
+    let mut draws: Vec<u64> = sweep.iter().map(|s| s.1).collect();
+    draws.dedup();
+    assert_eq!(draws.len() as u64, SWEEP_SEEDS, "sweep draws {draws:?}");
+    sweep.into_iter().map(|(seed, _, w)| (seed, w)).collect()
+}
+
+/// Seeds in each shape sweep.
+const SWEEP_SEEDS: u64 = 12;
 
 fn cluster(policy: PreemptionPolicy, media: MediaKind) -> YarnConfig {
     let mut cfg = YarnConfig::paper_cluster(policy, media);
@@ -132,21 +159,21 @@ fn fig8_waste_ordering() {
 
 /// Fig. 8c shape over a seed sweep: checkpointing on NVM improves
 /// low-priority response on at least 90% of the seeds and on the mean,
-/// while keeping high-priority response within 15% of kill on every seed.
+/// while keeping high-priority response within 5% of kill on every seed.
+/// Measured: 11 of 12 seeds win (seed 5 loses by 0.8%), high-priority
+/// ratio at most 1.031.
 #[test]
 fn fig8_response_shape_on_nvm() {
-    let seeds = 0..12u64;
-    let n = seeds.end - seeds.start;
+    let n = SWEEP_SEEDS;
     let (mut wins, mut chk_low, mut kill_low) = (0u64, 0.0, 0.0);
-    for seed in seeds {
-        let w = workload(seed);
+    for (seed, w) in sweep() {
         let kill = cluster(PreemptionPolicy::Kill, MediaKind::Nvm).run(&w);
         let chk = cluster(PreemptionPolicy::Checkpoint, MediaKind::Nvm).run(&w);
         wins += u64::from(chk.mean_low_response() < kill.mean_low_response());
         chk_low += chk.mean_low_response();
         kill_low += kill.mean_low_response();
         let ratio = chk.mean_high_response() / kill.mean_high_response();
-        assert!(ratio < 1.15, "seed {seed}: high-priority ratio {ratio}");
+        assert!(ratio < 1.05, "seed {seed}: high-priority ratio {ratio}");
     }
     assert!(
         wins * 10 >= n * 9,
@@ -162,15 +189,14 @@ fn fig8_response_shape_on_nvm() {
 
 /// Fig. 10 over a seed sweep: on slow media adaptive is at least as good
 /// as basic checkpointing for both priority classes on every seed, and
-/// kills young tasks on at least 10 of the 12 seeds. On the others every
-/// victim is worth checkpointing, so adaptive behaves exactly as basic.
+/// kills young tasks on at least 10 of the 12 seeds. On the others (seeds
+/// 7 and 8, measured) every victim is worth checkpointing, so adaptive
+/// behaves exactly as basic.
 #[test]
 fn fig10_adaptive_vs_basic_on_hdd() {
-    let seeds = 0..12u64;
-    let n = seeds.end - seeds.start;
+    let n = SWEEP_SEEDS;
     let mut killing = 0u64;
-    for seed in seeds {
-        let w = workload(seed);
+    for (seed, w) in sweep() {
         let basic = cluster(PreemptionPolicy::Checkpoint, MediaKind::Hdd).run(&w);
         let adaptive = cluster(PreemptionPolicy::Adaptive, MediaKind::Hdd).run(&w);
         let high = adaptive.mean_high_response() / basic.mean_high_response();
@@ -189,11 +215,10 @@ fn fig10_adaptive_vs_basic_on_hdd() {
 
 /// Fig. 12 over a seed sweep: adaptive never costs more checkpoint CPU or
 /// I/O overhead than basic, and NVM overheads are negligible, as in the
-/// paper.
+/// paper (measured NVM CPU overhead at most 0.00186).
 #[test]
 fn fig12_overheads() {
-    for seed in 0..12u64 {
-        let w = workload(seed);
+    for (seed, w) in sweep() {
         let basic = cluster(PreemptionPolicy::Checkpoint, MediaKind::Hdd).run(&w);
         let adaptive = cluster(PreemptionPolicy::Adaptive, MediaKind::Hdd).run(&w);
         let nvm = cluster(PreemptionPolicy::Adaptive, MediaKind::Nvm).run(&w);
